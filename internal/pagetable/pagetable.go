@@ -15,7 +15,8 @@ package pagetable
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Walk cost model, in memory references per translation. With four
@@ -98,6 +99,10 @@ func (e *Entry) Hinted() bool { return e.bits&flagHint != 0 }
 
 type leafBlock struct {
 	entries [blockSize]Entry
+	// meta is one byte of per-page state for the table's single TMM
+	// owner (an A-bit score), kept beside the entry the owner's scans
+	// already hold instead of in a map keyed by page number.
+	meta    [blockSize]uint8
 	present int
 }
 
@@ -105,6 +110,9 @@ type leafBlock struct {
 // Entry. The zero Table is not usable; call New.
 type Table struct {
 	blocks map[uint64]*leafBlock
+	// order holds the keys of blocks in ascending order, so scans walk
+	// blocks deterministically without sorting the map's keys.
+	order  []uint64
 	mapped uint64
 	// cache is a direct-mapped block-pointer cache in front of the map:
 	// the simulator's per-access hot path does two table lookups per
@@ -143,9 +151,17 @@ func (t *Table) blockFor(blockKey uint64) *leafBlock {
 	return b
 }
 
-// dropBlock removes a (now empty) leaf block and its cache entry.
+// blockIndex returns the position in order of the first block key >= bk.
+func (t *Table) blockIndex(bk uint64) int {
+	i, _ := slices.BinarySearch(t.order, bk)
+	return i
+}
+
+// dropBlock removes a leaf block, its index slot and its cache entry.
 func (t *Table) dropBlock(blockKey uint64) {
 	delete(t.blocks, blockKey)
+	i := t.blockIndex(blockKey)
+	t.order = slices.Delete(t.order, i, i+1)
 	slot := &t.cache[blockKey&(cacheSlots-1)]
 	if slot.key == blockKey {
 		slot.key, slot.b = ^uint64(0), nil
@@ -154,6 +170,31 @@ func (t *Table) dropBlock(blockKey uint64) {
 
 // Mapped returns the number of present entries.
 func (t *Table) Mapped() uint64 { return t.mapped }
+
+// Meta returns the metadata byte of key, or nil when key has no leaf
+// block (it always has one while present). A table has at most one meta
+// owner at a time; it calls ResetMeta when it takes over. A byte
+// survives Unmap and Map of its key: a block is dropped only when it
+// has no present entries and all its meta bytes are zero.
+func (t *Table) Meta(key uint64) *uint8 {
+	b := t.blockFor(key >> blockShift)
+	if b == nil {
+		return nil
+	}
+	return &b.meta[key&blockMask]
+}
+
+// ResetMeta zeroes every meta byte and drops the blocks that only meta
+// bytes kept alive.
+func (t *Table) ResetMeta() {
+	for i := len(t.order) - 1; i >= 0; i-- {
+		b := t.blocks[t.order[i]]
+		b.meta = [blockSize]uint8{}
+		if b.present == 0 {
+			t.dropBlock(t.order[i])
+		}
+	}
+}
 
 // Lookup returns the entry for key, or nil when no leaf block exists or
 // the entry is not present. The returned pointer stays valid until the
@@ -214,6 +255,7 @@ func (t *Table) Map(key, value uint64) *Entry {
 	if b == nil {
 		b = &leafBlock{}
 		t.blocks[blockKey] = b
+		t.order = slices.Insert(t.order, t.blockIndex(blockKey), blockKey)
 	}
 	e := &b.entries[key&blockMask]
 	if e.Present() {
@@ -241,7 +283,7 @@ func (t *Table) Unmap(key uint64) (value uint64, dirty bool) {
 	*e = Entry{}
 	b.present--
 	t.mapped--
-	if b.present == 0 {
+	if b.present == 0 && b.meta == [blockSize]uint8{} {
 		t.dropBlock(blockKey)
 	}
 	return value, dirty
@@ -263,34 +305,13 @@ func (t *Table) Remap(key, newValue uint64) (old uint64) {
 	return old
 }
 
-// sortedBlockKeys returns leaf block keys in ascending order so scans are
-// deterministic regardless of map iteration order.
-func (t *Table) sortedBlockKeys() []uint64 {
-	keys := make([]uint64, 0, len(t.blocks))
-	for k := range t.blocks {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // Scan visits every present entry in ascending key order. Returning false
 // from fn stops the scan. Scan reports how many entries were visited —
-// that count is what A-bit scanners charge CPU time for.
+// that count is what A-bit scanners charge CPU time for. In all scans,
+// fn may change entry bits, meta bytes or Remap, but must not Map or
+// Unmap in the table being scanned.
 func (t *Table) Scan(fn func(key uint64, e *Entry) bool) (visited int) {
-	for _, bk := range t.sortedBlockKeys() {
-		b := t.blocks[bk]
-		for i := range b.entries {
-			e := &b.entries[i]
-			if !e.Present() {
-				continue
-			}
-			visited++
-			if !fn(bk<<blockShift|uint64(i), e) {
-				return visited
-			}
-		}
-	}
+	visited, _ = t.scan(0, math.MaxUint64, math.MaxInt, fn)
 	return visited
 }
 
@@ -301,27 +322,7 @@ func (t *Table) ScanRange(lo, hi uint64, fn func(key uint64, e *Entry) bool) (vi
 	if hi <= lo {
 		return 0
 	}
-	loBlock, hiBlock := lo>>blockShift, (hi-1)>>blockShift
-	for _, bk := range t.sortedBlockKeys() {
-		if bk < loBlock || bk > hiBlock {
-			continue
-		}
-		b := t.blocks[bk]
-		for i := range b.entries {
-			key := bk<<blockShift | uint64(i)
-			if key < lo || key >= hi {
-				continue
-			}
-			e := &b.entries[i]
-			if !e.Present() {
-				continue
-			}
-			visited++
-			if !fn(key, e) {
-				return visited
-			}
-		}
-	}
+	visited, _ = t.scan(lo, hi-1, math.MaxInt, fn)
 	return visited
 }
 
@@ -334,18 +335,25 @@ func (t *Table) ScanFrom(start uint64, maxVisits int, fn func(key uint64, e *Ent
 	if maxVisits <= 0 {
 		return 0, start
 	}
-	keys := t.sortedBlockKeys()
-	startBlock := start >> blockShift
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= startBlock })
-	for ; i < len(keys); i++ {
-		b := t.blocks[keys[i]]
+	return t.scan(start, math.MaxUint64, maxVisits, fn)
+}
+
+// scan visits up to maxVisits present entries with keys in [lo, last].
+// next is the first unvisited key when the budget ran out, the key after
+// the one where fn stopped, and 0 when the range was exhausted. It finds
+// each next block by searching for the key after the current one, so a
+// block dropped behind the walk cannot make it skip one.
+func (t *Table) scan(lo, last uint64, maxVisits int, fn func(key uint64, e *Entry) bool) (visited int, next uint64) {
+	for i := t.blockIndex(lo >> blockShift); i < len(t.order); {
+		bk := t.order[i]
+		b := t.blocks[bk]
 		for j := range b.entries {
-			key := keys[i]<<blockShift | uint64(j)
-			if key < start {
-				continue
+			key := bk<<blockShift | uint64(j)
+			if key > last {
+				return visited, 0
 			}
 			e := &b.entries[j]
-			if !e.Present() {
+			if key < lo || !e.Present() {
 				continue
 			}
 			if visited >= maxVisits {
@@ -356,6 +364,7 @@ func (t *Table) ScanFrom(start uint64, maxVisits int, fn func(key uint64, e *Ent
 				return visited, key + 1
 			}
 		}
+		i = t.blockIndex(bk + 1)
 	}
 	return visited, 0
 }

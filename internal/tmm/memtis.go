@@ -2,7 +2,7 @@ package tmm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"demeter/internal/hypervisor"
 	"demeter/internal/mem"
@@ -60,12 +60,20 @@ type Memtis struct {
 	eng      *sim.Engine
 	vm       *hypervisor.VM
 	unit     *pebs.Unit
-	hist     map[uint64]float64 // gpfn → decayed access count
 	poll     *sim.Ticker
 	classify *sim.Ticker
 	active   bool
 	stats    MemtisStats
+
+	// hist holds each gpfn's decayed access count in blocks indexed by
+	// gpfn>>histShift, allocated on a block's first sample. A zero cell
+	// is an untracked page: tracked counts never fall below 0.25.
+	hist     []*[1 << histShift]float64
+	histLive int     // non-zero hist cells
+	mark     []uint8 // reverseMap's wanted-gpfn plane, zero between rounds
 }
+
+const histShift = 9
 
 // MemtisStats counts activity.
 type MemtisStats struct {
@@ -91,7 +99,7 @@ func (p *Memtis) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		panic("tmm: Memtis attached twice")
 	}
 	p.eng, p.vm, p.active = eng, vm, true
-	p.hist = make(map[uint64]float64)
+	p.hist, p.histLive = nil, 0
 
 	unit, err := pebs.NewUnit(pebs.ConfigWithPeriod(p.Cfg.SamplePeriod))
 	if err != nil {
@@ -148,7 +156,18 @@ func (p *Memtis) drain() {
 		p.stats.Samples++
 		if gpfn, ok := vm.Proc.Translate(s.GVPN); ok {
 			p.stats.Translated++
-			p.hist[uint64(gpfn)]++
+			bi := int(gpfn >> histShift)
+			if bi >= len(p.hist) {
+				p.hist = append(p.hist, make([]*[1 << histShift]float64, bi+1-len(p.hist))...)
+			}
+			if p.hist[bi] == nil {
+				p.hist[bi] = new([1 << histShift]float64)
+			}
+			c := &p.hist[bi][gpfn&(1<<histShift-1)]
+			if *c == 0 {
+				p.histLive++
+			}
+			*c++
 		}
 	}
 }
@@ -161,31 +180,32 @@ func (p *Memtis) round() {
 
 	var hot []uint64      // slow-tier gpfns above the threshold
 	var coldFast []uint64 // fast-tier gpfns below it
-	// Iterate in sorted key order: map order would make runs
-	// non-reproducible.
-	keys := make([]uint64, 0, len(p.hist))
-	for gpfn := range p.hist {
-		keys = append(keys, gpfn)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	cool := p.Cfg.CoolEveryRounds > 0 && (p.stats.Rounds+1)%p.Cfg.CoolEveryRounds == 0
-	for _, gpfn := range keys {
-		count := p.hist[gpfn]
-		if count >= p.Cfg.HotThreshold {
-			if kernel.NodeOfGPFN(mem.Frame(gpfn)) != 0 && len(hot) < p.Cfg.MigrationBatch {
-				hot = append(hot, gpfn)
-			}
-		} else if kernel.NodeOfGPFN(mem.Frame(gpfn)) == 0 && len(coldFast) < 4*p.Cfg.MigrationBatch {
-			coldFast = append(coldFast, gpfn)
+	for bi, blk := range p.hist {
+		if blk == nil {
+			continue
 		}
-		if cool {
-			p.hist[gpfn] = count / 2
-			if p.hist[gpfn] < 0.25 {
-				delete(p.hist, gpfn)
+		for j, count := range blk {
+			if count == 0 {
+				continue
+			}
+			gpfn := uint64(bi)<<histShift | uint64(j)
+			if count >= p.Cfg.HotThreshold {
+				if kernel.NodeOfGPFN(mem.Frame(gpfn)) != 0 && len(hot) < p.Cfg.MigrationBatch {
+					hot = append(hot, gpfn)
+				}
+			} else if kernel.NodeOfGPFN(mem.Frame(gpfn)) == 0 && len(coldFast) < 4*p.Cfg.MigrationBatch {
+				coldFast = append(coldFast, gpfn)
+			}
+			if cool {
+				if blk[j] = count / 2; blk[j] < 0.25 {
+					blk[j] = 0
+					p.histLive--
+				}
 			}
 		}
 	}
-	vm.ChargeGuest(CompClassify, sim.Duration(len(p.hist))*cm.PTEOpCost)
+	vm.ChargeGuest(CompClassify, sim.Duration(p.histLive)*cm.PTEOpCost)
 	p.stats.Rounds++
 
 	// Memtis migrates physical pages; the guest variant moves the gVA
@@ -194,14 +214,14 @@ func (p *Memtis) round() {
 	if len(hot) == 0 {
 		return
 	}
-	gvaOf := p.reverseMap(hot, coldFast)
+	hotGVA, coldGVA := p.reverseMap(hot, coldFast)
 	vm.ChargeGuest(CompClassify, sim.Duration(vm.Proc.GPT.Mapped())*cm.PTEOpCost/4)
 
 	var migrateCost sim.Duration
 	fastNode := kernel.Topo.Nodes[0]
 	ci := 0
 	for fastNode.FreeFrames() < uint64(len(hot)) && ci < len(coldFast) {
-		if gvpn, ok := gvaOf[coldFast[ci]]; ok {
+		if gvpn := coldGVA[ci]; gvpn != pagetable.NotMapped {
 			if cost, err := vm.MigrateGuestPage(gvpn, 1); err == nil {
 				migrateCost += cost
 				p.stats.Demoted++
@@ -209,9 +229,8 @@ func (p *Memtis) round() {
 		}
 		ci++
 	}
-	for _, gpfn := range hot {
-		gvpn, ok := gvaOf[gpfn]
-		if !ok {
+	for _, gvpn := range hotGVA {
+		if gvpn == pagetable.NotMapped {
 			continue
 		}
 		if cost, err := vm.MigrateGuestPage(gvpn, 0); err == nil {
@@ -222,20 +241,39 @@ func (p *Memtis) round() {
 	vm.ChargeGuest(CompMigrate, migrateCost)
 }
 
-// reverseMap finds the gVA currently mapping each wanted gpfn.
-func (p *Memtis) reverseMap(lists ...[]uint64) map[uint64]uint64 {
-	wanted := make(map[uint64]uint64)
-	for _, l := range lists {
-		for _, gpfn := range l {
-			wanted[gpfn] = 0
+// reverseMap finds the gVA currently mapping each gpfn of hot and cold,
+// two disjoint ascending lists, and returns them at the same indexes
+// (pagetable.NotMapped where none does). The mark plane tags each wanted
+// gpfn with its list until found, so the GPT walk stops once all are;
+// the guest maps each gpfn at most once (guestos.Kernel.Audit).
+func (p *Memtis) reverseMap(hot, cold []uint64) (hotGVA, coldGVA []uint64) {
+	if n := len(p.hist) << histShift; len(p.mark) < n {
+		p.mark = make([]uint8, n)
+	}
+	lists := [2][]uint64{hot, cold}
+	var gva [2][]uint64
+	for l, list := range lists {
+		gva[l] = make([]uint64, len(list))
+		for i, gpfn := range list {
+			p.mark[gpfn] = uint8(l + 1)
+			gva[l][i] = pagetable.NotMapped
 		}
 	}
-	out := make(map[uint64]uint64, len(wanted))
+	want, found := len(hot)+len(cold), 0
 	p.vm.Proc.GPT.Scan(func(gvpn uint64, e *pagetable.Entry) bool {
-		if _, ok := wanted[e.Value()]; ok {
-			out[e.Value()] = gvpn
+		if g := e.Value(); g < uint64(len(p.mark)) && p.mark[g] != 0 {
+			l := p.mark[g] - 1
+			i, _ := slices.BinarySearch(lists[l], g)
+			gva[l][i] = gvpn
+			p.mark[g] = 0
+			found++
 		}
-		return len(out) < len(wanted)
+		return found < want
 	})
-	return out
+	for _, list := range lists {
+		for _, gpfn := range list {
+			p.mark[gpfn] = 0
+		}
+	}
+	return gva[0], gva[1]
 }

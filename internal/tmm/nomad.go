@@ -54,7 +54,6 @@ type Nomad struct {
 
 	eng          *sim.Engine
 	vm           *hypervisor.VM
-	board        *scoreboard
 	shadow       map[uint64]bool // gvpn → has a retained slow-tier shadow
 	ticker       *sim.Ticker
 	cursor       uint64
@@ -86,7 +85,7 @@ func (p *Nomad) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		panic("tmm: Nomad attached twice")
 	}
 	p.eng, p.vm, p.active = eng, vm, true
-	p.board = newScoreboard(p.Cfg.MaxScore)
+	vm.Proc.GPT.ResetMeta()
 	p.shadow = make(map[uint64]bool)
 	vm.OnHintFault = p.hintFault
 	p.ticker = eng.StartTicker(p.Cfg.ScanPeriod, func(sim.Time) {
@@ -154,13 +153,14 @@ func (p *Nomad) round() {
 	visited, next := vm.Proc.GPT.ScanFrom(p.cursor, batch, func(gvpn uint64, e *pagetable.Entry) bool {
 		accessed := e.Accessed()
 		onFastPre := kernel.NodeOfGPFN(mem.Frame(e.Value())) == 0
-		if !accessed && onFastPre && p.board.get(gvpn) > 0 {
+		sc := vm.Proc.GPT.Meta(gvpn)
+		if !accessed && onFastPre && *sc > 0 {
 			// Second-chance verification, as in TPP.
 			flushCost += vm.FlushSingle(gvpn)
 		}
 		if accessed {
 			e.ClearAccessed()
-			if !onFastPre || p.board.get(gvpn) < p.Cfg.MaxScore {
+			if !onFastPre || *sc < p.Cfg.MaxScore {
 				flushCost += vm.FlushSingle(gvpn)
 				cleared++
 			}
@@ -170,7 +170,7 @@ func (p *Nomad) round() {
 			delete(p.shadow, gvpn)
 			dirtied++
 		}
-		score := p.board.observe(gvpn, accessed)
+		score := observe(sc, accessed, p.Cfg.MaxScore)
 		onFast := kernel.NodeOfGPFN(mem.Frame(e.Value())) == 0
 		if e.Hinted() && score < p.Cfg.MaxScore {
 			e.ClearHint() // expire cooled candidates
@@ -247,7 +247,7 @@ func (p *Nomad) markPass() {
 		// deeper counter (MaxScore 6) makes saturation slower to reach,
 		// the model's expression of its thrash-averse conservatism.
 		if kernel.NodeOfGPFN(mem.Frame(e.Value())) != 0 && !e.Hinted() &&
-			p.board.get(gvpn) >= p.Cfg.MaxScore {
+			*vm.Proc.GPT.Meta(gvpn) >= p.Cfg.MaxScore {
 			e.MarkHint()
 			cost += vm.FlushSingle(gvpn)
 			marked++

@@ -62,35 +62,18 @@ func (*Static) Attach(*sim.Engine, *hypervisor.VM) {}
 // Detach implements Policy (no-op).
 func (*Static) Detach() {}
 
-// scoreboard tracks per-page A-bit history for the scanning designs: a
-// small saturating counter per page, incremented when the scan finds the
+// observe folds one A-bit scan observation into a page's score, the
+// scanning designs' per-page history kept in the scanned table's meta
+// plane: a small saturating counter, incremented when the scan finds the
 // A bit set and decremented otherwise (an LRU-generation approximation).
-type scoreboard struct {
-	score map[uint64]uint8
-	max   uint8
-}
-
-func newScoreboard(max uint8) *scoreboard {
-	return &scoreboard{score: make(map[uint64]uint8), max: max}
-}
-
-// observe folds one scan observation and returns the new score.
-func (s *scoreboard) observe(key uint64, accessed bool) uint8 {
-	v := s.score[key]
+// It returns the new score.
+func observe(score *uint8, accessed bool, max uint8) uint8 {
 	if accessed {
-		if v < s.max {
-			v++
+		if *score < max {
+			*score++
 		}
-	} else if v > 0 {
-		v--
+	} else if *score > 0 {
+		*score--
 	}
-	if v == 0 {
-		delete(s.score, key)
-		return 0
-	}
-	s.score[key] = v
-	return v
+	return *score
 }
-
-// get returns the current score.
-func (s *scoreboard) get(key uint64) uint8 { return s.score[key] }

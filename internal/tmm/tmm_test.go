@@ -6,6 +6,7 @@ import (
 	"demeter/internal/engine"
 	"demeter/internal/hypervisor"
 	"demeter/internal/mem"
+	"demeter/internal/pagetable"
 	"demeter/internal/sim"
 	"demeter/internal/workload"
 )
@@ -263,23 +264,26 @@ func TestDetachIsIdempotent(t *testing.T) {
 }
 
 func TestScoreboard(t *testing.T) {
-	b := newScoreboard(3)
-	if b.observe(1, true) != 1 || b.observe(1, true) != 2 || b.observe(1, true) != 3 {
+	pt := pagetable.New()
+	pt.Map(1, 1)
+	s := pt.Meta(1)
+	if observe(s, true, 3) != 1 || observe(s, true, 3) != 2 || observe(s, true, 3) != 3 {
 		t.Fatal("increment broken")
 	}
-	if b.observe(1, true) != 3 {
+	if observe(s, true, 3) != 3 {
 		t.Fatal("saturation broken")
 	}
-	if b.observe(1, false) != 2 {
+	if observe(s, false, 3) != 2 {
 		t.Fatal("decay broken")
 	}
-	b.observe(1, false)
-	b.observe(1, false)
-	if b.get(1) != 0 {
+	observe(s, false, 3)
+	observe(s, false, 3)
+	if *pt.Meta(1) != 0 {
 		t.Fatal("score should bottom out at 0")
 	}
-	if len(b.score) != 0 {
-		t.Fatal("zero-score entries should be evicted")
+	pt.Unmap(1)
+	if pt.Meta(1) != nil {
+		t.Fatal("a zero-score block should be dropped once its entries are unmapped")
 	}
 }
 

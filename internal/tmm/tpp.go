@@ -51,7 +51,6 @@ type TPP struct {
 
 	eng          *sim.Engine
 	vm           *hypervisor.VM
-	board        *scoreboard
 	ticker       *sim.Ticker
 	cursor       uint64
 	markCursor   uint64
@@ -88,7 +87,7 @@ func (p *TPP) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		panic("tmm: TPP attached twice")
 	}
 	p.eng, p.vm, p.active = eng, vm, true
-	p.board = newScoreboard(p.Cfg.MaxScore)
+	vm.Proc.GPT.ResetMeta()
 	vm.OnHintFault = p.hintFault
 	p.ticker = eng.StartTicker(p.Cfg.ScanPeriod, func(sim.Time) {
 		if p.active {
@@ -148,7 +147,8 @@ func (p *TPP) round() {
 	visited, next := gpt.ScanFrom(p.cursor, batch, func(gvpn uint64, e *pagetable.Entry) bool {
 		accessed := e.Accessed()
 		onFast := kernel.NodeOfGPFN(mem.Frame(e.Value())) == 0
-		if !accessed && onFast && p.board.get(gvpn) > 0 {
+		sc := gpt.Meta(gvpn)
+		if !accessed && onFast && *sc > 0 {
 			// Second-chance verification: a scored fast-tier page that
 			// looks idle may just have a stale TLB entry from an earlier
 			// no-flush clear. Invalidate it so the next access re-walks
@@ -158,7 +158,7 @@ func (p *TPP) round() {
 		}
 		if accessed {
 			e.ClearAccessed()
-			if !onFast || p.board.get(gvpn) < p.Cfg.MaxScore {
+			if !onFast || *sc < p.Cfg.MaxScore {
 				// Flush only where precise recency matters: promotion
 				// candidates in SMEM and not-yet-established fast-tier
 				// pages. Saturated hot pages are cleared WITHOUT a flush
@@ -171,7 +171,7 @@ func (p *TPP) round() {
 				cleared++
 			}
 		}
-		score := p.board.observe(gvpn, accessed)
+		score := observe(sc, accessed, p.Cfg.MaxScore)
 		if e.Hinted() && score < p.Cfg.MaxScore {
 			// The candidate cooled off before its promotion fault fired;
 			// expire the trap so stale marks don't win frames from
@@ -224,7 +224,7 @@ func (p *TPP) markPass() {
 		// race dominated by genuinely hot pages instead of cold drifters
 		// whose A bit happened to be set.
 		if kernel.NodeOfGPFN(mem.Frame(e.Value())) != 0 && !e.Hinted() &&
-			p.board.get(gvpn) >= p.Cfg.MaxScore {
+			*vm.Proc.GPT.Meta(gvpn) >= p.Cfg.MaxScore {
 			e.MarkHint()
 			cost += vm.FlushSingle(gvpn) // PROT_NONE change
 			marked++

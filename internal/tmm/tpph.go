@@ -55,7 +55,6 @@ type TPPH struct {
 
 	eng    *sim.Engine
 	vm     *hypervisor.VM
-	board  *scoreboard
 	ticker *sim.Ticker
 	cursor uint64
 	active bool
@@ -77,7 +76,7 @@ func (p *TPPH) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		panic("tmm: TPPH attached twice")
 	}
 	p.eng, p.vm, p.active = eng, vm, true
-	p.board = newScoreboard(p.Cfg.MaxScore)
+	vm.EPT.ResetMeta()
 	p.ticker = eng.StartTicker(p.Cfg.ScanPeriod, func(sim.Time) {
 		if p.active {
 			p.round()
@@ -121,7 +120,7 @@ func (p *TPPH) round() {
 				fulls++
 			}
 		}
-		score := p.board.observe(gpfn, accessed)
+		score := observe(vm.EPT.Meta(gpfn), accessed, p.Cfg.MaxScore)
 		onFast := fastHost.Contains(hostFrameOf(e))
 		switch {
 		case !onFast && score >= p.Cfg.PromoteThreshold && len(hot) < p.Cfg.MigrationBatch:
