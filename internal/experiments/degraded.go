@@ -66,9 +66,12 @@ func Degraded(s Scale) string {
 		rungs []RungResult
 		err   error
 	}
-	results := runIndexed(len(modes), func(i int) outcome {
+	// Each mode runs a whole chaos ladder, which fans its rungs out as
+	// leaf runs, so the modes are coordinators, not leaves.
+	results := make([]outcome, len(modes))
+	FanOut(len(modes), func(i int) {
 		rungs, err := RunChaosLadder(s, modes[i].cfg)
-		return outcome{rungs, err}
+		results[i] = outcome{rungs, err}
 	})
 
 	out := "Degraded mode: agent crashes under health monitoring, failover vs frozen\n"

@@ -19,8 +19,11 @@ import (
 )
 
 // workerTokens is the global leaf-run semaphore; nil means sequential.
-// Only leaf jobs acquire tokens — the per-experiment coordinators in
-// RunExperiments are token-free — so nested fan-out cannot deadlock.
+// Only leaf jobs acquire tokens, and a leaf holds its token until it
+// returns, so a leaf must never call runIndexed itself: with every token
+// held by leaves waiting on nested leaves, the pool deadlocks. A job that
+// fans out again is a coordinator and runs under the token-free FanOut.
+//
 //lint:allow crossshard atomic pointer swapped by SetParallelism before runs start; workers only Load it
 var workerTokens atomic.Pointer[chan struct{}]
 
@@ -55,7 +58,9 @@ func Parallelism() int {
 // goroutine gated by the worker semaphore; otherwise jobs run inline in
 // index order. Jobs must be self-contained cluster runs: they own their
 // engine and share no mutable state, which is what makes the two modes
-// produce identical results.
+// produce identical results. A job must not call runIndexed (directly or
+// through RunChaosLadder): it would wait for tokens that its siblings may
+// all be holding. Fan such jobs out with FanOut instead.
 func runIndexed[T any](n int, job func(i int) T) []T {
 	out := make([]T, n)
 	tokens := workerTokens.Load()
@@ -107,6 +112,7 @@ func FanOut(n int, job func(i int)) {
 // benchAccesses tallies guest memory accesses at the audit chokepoint
 // every run passes through on teardown; the bench harness reads it to
 // report accesses/sec per experiment.
+//
 //lint:allow crossshard monotone atomic tally folded at teardown; commutative adds cannot perturb reports
 var benchAccesses atomic.Uint64
 

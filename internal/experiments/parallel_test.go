@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// seqVsPar runs f sequentially and with worker pools of 4 and 8 and
-// returns the sequential output plus the 4-worker one; the 8-worker run
-// is asserted against the 4-worker run inline, so a caller comparing
-// seq == par has covered all three widths. Parallelism is restored to
-// sequential afterward so other tests are unaffected.
+// seqVsPar runs f sequentially and with worker pools of 2, 4 and 8 and
+// returns the sequential output plus the 4-worker one; the 2- and
+// 8-worker runs are asserted against the 4-worker run inline, so a caller
+// comparing seq == par has covered all four widths. Width 2 is the
+// narrowest pool in which two nested fan-outs can each hold every token.
+// Parallelism is restored to sequential afterward so other tests are
+// unaffected.
 func seqVsPar(t *testing.T, f func() string) (seq, par string) {
 	t.Helper()
 	SetParallelism(1)
@@ -18,9 +20,11 @@ func seqVsPar(t *testing.T, f func() string) (seq, par string) {
 	defer SetParallelism(1)
 	SetParallelism(4)
 	par = f()
-	SetParallelism(8)
-	if par8 := f(); par8 != par {
-		t.Errorf("8-worker output differs from 4-worker output")
+	for _, w := range []int{2, 8} {
+		SetParallelism(w)
+		if got := f(); got != par {
+			t.Errorf("%d-worker output differs from 4-worker output", w)
+		}
 	}
 	return seq, par
 }
@@ -60,13 +64,14 @@ func TestSetParallelism(t *testing.T) {
 // an experiment's leaf cluster runs across workers yields the exact bytes
 // sequential execution produces. Table1 covers single-big-VM clusters and
 // the post-collection ratio column; figure2 covers the (VM count × design)
-// grid.
+// grid; degraded covers a fan-out whose jobs fan out again (each mode runs
+// a chaos ladder).
 func TestParallelExperimentByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cluster runs in -short mode")
 	}
 	s := Tiny()
-	for _, id := range []string{"table1", "figure2"} {
+	for _, id := range []string{"table1", "figure2", "degraded"} {
 		e, ok := Get(id)
 		if !ok {
 			t.Fatalf("unknown experiment %q", id)

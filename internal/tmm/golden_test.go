@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"demeter/internal/engine"
+	"demeter/internal/fault"
 	"demeter/internal/hypervisor"
 	"demeter/internal/sim"
+	"demeter/internal/workload"
 )
 
 // goldenRun drives x to completion (or the horizon) with whatever policy
@@ -32,7 +34,23 @@ func goldenRun(t *testing.T, eng *sim.Engine, vm *hypervisor.VM, x *engine.Execu
 	return b.String()
 }
 
-// TestGoldenPolicyRuns pins small fixed runs of the four designs that keep
+// xsbenchRig is rig's machine running read-only XSBench lookups instead
+// of GUPS.
+func xsbenchRig(t *testing.T, ops uint64) (*sim.Engine, *hypervisor.VM, *engine.Executor) {
+	t.Helper()
+	eng, vm := machine(t, 1024, 16384)
+	return eng, vm, engine.NewExecutor(eng, vm, workload.Must(workload.NewXSBench(8192, ops, 7)))
+}
+
+// armMigrateFaults makes a fixed share of guest page migrations fail,
+// half of them after a partial copy.
+func armMigrateFaults(vm *hypervisor.VM) {
+	vm.Machine.Fault = fault.NewInjector(3)
+	vm.Machine.Fault.Arm(hypervisor.FaultMigrateBusy, 0.1)
+	vm.Machine.Fault.Arm(hypervisor.FaultMigrateCopy, 0.1)
+}
+
+// TestGoldenPolicyRuns pins small fixed runs of the designs that keep
 // per-page state (scores in the page-table meta plane, the Memtis
 // histogram) to known values: any drift in scan order, score semantics or
 // classification order shows up here, not only in benchmark digests.
@@ -81,6 +99,63 @@ func TestGoldenPolicyRuns(t *testing.T) {
 			defer p.Detach()
 			return goldenRun(t, eng, vm, x, func() []any { return []any{p.Stats(), p.HintMarks, p.ShadowDemotions, p.Retries} })
 		}, "{Rounds:77 PTEsVisited:606208 HotObserved:195920 Promoted:1092 Demoted:1157 FailedPromotions:1627} 3483 0 1092 classify=4546560 migrate=13813852 track=47316060 | | runtime=155029159 tlb={Lookups:408192 Hits:198635 Misses:209557 SingleFlushes:225324 FullFlushes:0 Evictions:0 Fills:209557}"},
+		{"nomad-bounded-reattach", func(t *testing.T) string {
+			// Nomad's shadow copies and scores both live in the page
+			// table; a second Attach on the same table must drop both.
+			// XSBench's lookups only read, so promoted pages stay clean
+			// and keep their shadows.
+			eng, vm, x := xsbenchRig(t, 400_000)
+			cfg := testNomad()
+			cfg.ScanBatchPages = 6000
+			first := NewNomad(cfg)
+			first.Attach(eng, vm)
+			x.Start()
+			eng.Run(sim.Time(300 * sim.Millisecond))
+			first.Detach()
+			p := NewNomad(cfg)
+			p.Attach(eng, vm)
+			defer p.Detach()
+			for !x.Finished() && eng.Step() {
+			}
+			return goldenRun(t, eng, vm, x, func() []any {
+				return []any{first.Stats(), first.ShadowDemotions, p.Stats(), p.HintMarks, p.ShadowDemotions, p.Retries}
+			})
+		}, "{Rounds:150 PTEsVisited:637295 HotObserved:340992 Promoted:954 Demoted:1039 FailedPromotions:2664} 238 {Rounds:203 PTEsVisited:874701 HotObserved:496824 Promoted:1065 Demoted:1060 FailedPromotions:3653} 8189 376 1065 classify=11339884 migrate=33278721 track=164461005 | | runtime=707138186 tlb={Lookups:2008601 Hits:1140916 Misses:867685 SingleFlushes:931222 FullFlushes:0 Evictions:0 Fills:867685}"},
+		{"nomad-shadow", func(t *testing.T) string {
+			eng, vm, x := xsbenchRig(t, 300_000)
+			p := NewNomad(testNomad())
+			p.Attach(eng, vm)
+			defer p.Detach()
+			return goldenRun(t, eng, vm, x, func() []any { return []any{p.Stats(), p.HintMarks, p.ShadowDemotions, p.Retries} })
+		}, "{Rounds:263 PTEsVisited:2234215 HotObserved:769496 Promoted:3611 Demoted:3704 FailedPromotions:852} 10536 2620 3611 classify=16756485 migrate=32275017 track=192555690 | | runtime=526875812 tlb={Lookups:1508601 Hits:700742 Misses:807859 SingleFlushes:890622 FullFlushes:0 Evictions:0 Fills:807859}"},
+		{"tpp-migrate-faults", func(t *testing.T) string {
+			// Failed migrations: TPP books the work a failed demotion
+			// burned.
+			eng, vm, x, _ := rig(t, 1024, 16384, 8192, 400_000)
+			armMigrateFaults(vm)
+			p := NewTPP(testTPP())
+			p.Attach(eng, vm)
+			defer p.Detach()
+			return goldenRun(t, eng, vm, x, func() []any { return []any{p.Stats(), p.HintMarks, p.HintFaults, vm.Stats().MigrateRollbacks} })
+		}, "{Rounds:72 PTEsVisited:565248 HotObserved:185930 Promoted:1412 Demoted:1567 FailedPromotions:1104} 4125 2516 340 classify=4239360 migrate=8666634 track=42835140 | | runtime=145513069 tlb={Lookups:408192 Hits:205760 Misses:202432 SingleFlushes:216663 FullFlushes:0 Evictions:0 Fills:202432}"},
+		{"nomad-migrate-faults", func(t *testing.T) string {
+			// Nomad books only completed demotions, shadow or not.
+			eng, vm, x := xsbenchRig(t, 300_000)
+			armMigrateFaults(vm)
+			p := NewNomad(testNomad())
+			p.Attach(eng, vm)
+			defer p.Detach()
+			return goldenRun(t, eng, vm, x, func() []any {
+				return []any{p.Stats(), p.HintMarks, p.ShadowDemotions, p.Retries, vm.Stats().MigrateRollbacks}
+			})
+		}, "{Rounds:261 PTEsVisited:2217013 HotObserved:769132 Promoted:2746 Demoted:2845 FailedPromotions:1333} 9514 1489 2746 640 classify=16627471 migrate=26673881 track=181556670 | | runtime=522850543 tlb={Lookups:1508601 Hits:702624 Misses:805977 SingleFlushes:883299 FullFlushes:0 Evictions:0 Fills:805977}"},
+		{"vtmm", func(t *testing.T) string {
+			eng, vm, x, _ := rig(t, 1024, 16384, 8192, 400_000)
+			p := NewVTMM(testVTMM())
+			p.Attach(eng, vm)
+			defer p.Detach()
+			return goldenRun(t, eng, vm, x, func() []any { return []any{p.Stats(), p.PMLExits} })
+		}, "{Rounds:131 PTEsVisited:539680 HotObserved:197114 Promoted:67072 Demoted:67072 FailedPromotions:0} 447 | classify=113298915 migrate=131662336 track=22030040 | runtime=263046232 tlb={Lookups:408192 Hits:145286 Misses:262906 SingleFlushes:0 FullFlushes:134397 Evictions:0 Fills:262906}"},
 		{"memtis", func(t *testing.T) string {
 			eng, vm, x, _ := rig(t, 1024, 16384, 8192, 400_000)
 			p := NewMemtis(testMemtis())

@@ -13,9 +13,9 @@
 //   - Memtis (Lee et al., SOSP'23): guest PEBS with dedicated collection
 //     threads, per-sample software address translation, a physical-page
 //     hotness histogram and threshold classification.
-//   - Nomad (Xiang et al., OSDI'24): A-bit tracking with transactional
-//     shadow-copy migration that trades placement agility for
-//     thrash-resistance.
+//   - Nomad (Xiang et al., OSDI'24): TPP's guest A-bit tiering loop
+//     with transactional shadow-copy migration that trades placement
+//     agility for thrash-resistance.
 //
 // All policies share one structural interface (Name/Attach/Detach) so the
 // experiment harness treats them and core.Demeter uniformly, and all
@@ -63,17 +63,20 @@ func (*Static) Attach(*sim.Engine, *hypervisor.VM) {}
 func (*Static) Detach() {}
 
 // observe folds one A-bit scan observation into a page's score, the
-// scanning designs' per-page history kept in the scanned table's meta
-// plane: a small saturating counter, incremented when the scan finds the
-// A bit set and decremented otherwise (an LRU-generation approximation).
-// It returns the new score.
-func observe(score *uint8, accessed bool, max uint8) uint8 {
+// scanning designs' per-page history kept in the low bits (scoreMask) of
+// the scanned table's meta byte: a small saturating counter, incremented
+// when the scan finds the A bit set and decremented otherwise (an
+// LRU-generation approximation). The other bits are left alone. It
+// returns the new score.
+func observe(meta *uint8, accessed bool, max uint8) uint8 {
+	score := *meta & scoreMask
 	if accessed {
-		if *score < max {
-			*score++
+		if score < max {
+			score++
 		}
-	} else if *score > 0 {
-		*score--
+	} else if score > 0 {
+		score--
 	}
-	return *score
+	*meta = *meta&^scoreMask | score
+	return score
 }

@@ -14,6 +14,15 @@ import (
 // rig builds a 1-VM machine plus a GUPS executor.
 func rig(t *testing.T, fmem, smem, footprint, ops uint64) (*sim.Engine, *hypervisor.VM, *engine.Executor, *workload.GUPS) {
 	t.Helper()
+	eng, vm := machine(t, fmem, smem)
+	wl := workload.Must(workload.NewGUPS(footprint, ops, 7))
+	x := engine.NewExecutor(eng, vm, wl)
+	return eng, vm, x, wl
+}
+
+// machine builds a 1-VM machine with no workload.
+func machine(t *testing.T, fmem, smem uint64) (*sim.Engine, *hypervisor.VM) {
+	t.Helper()
 	eng := sim.NewEngine()
 	m := hypervisor.NewMachine(eng, mem.PaperDRAMPMEM(fmem, smem))
 	vm, err := m.NewVM(hypervisor.VMConfig{
@@ -23,9 +32,7 @@ func rig(t *testing.T, fmem, smem, footprint, ops uint64) (*sim.Engine, *hypervi
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := workload.Must(workload.NewGUPS(footprint, ops, 7))
-	x := engine.NewExecutor(eng, vm, wl)
-	return eng, vm, x, wl
+	return eng, vm
 }
 
 // compressed cadences for unit tests.
@@ -239,7 +246,7 @@ func TestNomadSlowerToPromoteThanTPP(t *testing.T) {
 
 func TestDoubleAttachPanics(t *testing.T) {
 	eng, vm, _, _ := rig(t, 256, 1024, 512, 1000)
-	policies := []Policy{NewTPP(testTPP()), NewTPPH(testTPPH()), NewMemtis(testMemtis()), NewNomad(testNomad())}
+	policies := []Policy{NewTPP(testTPP()), NewTPPH(testTPPH()), NewMemtis(testMemtis()), NewNomad(testNomad()), NewVTMM(testVTMM())}
 	for _, p := range policies {
 		func() {
 			p.Attach(eng, vm)
@@ -256,7 +263,7 @@ func TestDoubleAttachPanics(t *testing.T) {
 
 func TestDetachIsIdempotent(t *testing.T) {
 	eng, vm, _, _ := rig(t, 256, 1024, 512, 1000)
-	for _, p := range []Policy{NewStatic(), NewTPP(testTPP()), NewTPPH(testTPPH()), NewMemtis(testMemtis()), NewNomad(testNomad())} {
+	for _, p := range []Policy{NewStatic(), NewTPP(testTPP()), NewTPPH(testTPPH()), NewMemtis(testMemtis()), NewNomad(testNomad()), NewVTMM(testVTMM())} {
 		p.Attach(eng, vm)
 		p.Detach()
 		p.Detach()

@@ -7,14 +7,13 @@ import (
 	"demeter/internal/sim"
 )
 
-// TPPConfig tunes the guest-resident TPP model.
+// TPPConfig tunes the guest A-bit tiering loop that TPP and Nomad share.
 type TPPConfig struct {
 	// ScanPeriod is the A-bit scan cadence.
 	ScanPeriod sim.Duration
-	// PromoteThreshold is the score a slow-tier page needs for
-	// promotion (TPP promotes on the second observed access).
-	PromoteThreshold uint8
-	// MaxScore caps the saturating counter.
+	// MaxScore caps the saturating counter; a slow-tier page is marked
+	// for promotion once its score saturates. It must stay below
+	// shadowBit.
 	MaxScore uint8
 	// MigrationBatch caps promotions per round.
 	MigrationBatch int
@@ -22,19 +21,18 @@ type TPPConfig struct {
 	// from a cursor next round, like kswapd's incremental LRU walks.
 	// Zero means unbounded.
 	ScanBatchPages int
-	// FreeTargetFrac is the FMEM free watermark the demotion side
-	// (kswapd) maintains so promotions always find headroom.
-	FreeTargetFrac float64
 }
+
+// tppFreeTarget is the FMEM free watermark TPP's demotion side (kswapd)
+// maintains so promotions always find headroom.
+const tppFreeTarget = 0.04
 
 // DefaultTPPConfig mirrors TPP's Linux incarnation at full time scale.
 func DefaultTPPConfig() TPPConfig {
 	return TPPConfig{
-		ScanPeriod:       sim.Second,
-		PromoteThreshold: 2,
-		MaxScore:         4,
-		MigrationBatch:   4096,
-		FreeTargetFrac:   0.04,
+		ScanPeriod:     sim.Second,
+		MaxScore:       4,
+		MigrationBatch: 4096,
 	}
 }
 
@@ -48,18 +46,7 @@ func DefaultTPPConfig() TPPConfig {
 // Demotion is kswapd-style watermark maintenance.
 type TPP struct {
 	Cfg TPPConfig
-
-	eng          *sim.Engine
-	vm           *hypervisor.VM
-	ticker       *sim.Ticker
-	cursor       uint64
-	markCursor   uint64
-	prevPromoted uint64 // promotions as of the previous mark pass // round-robin fairness for hint marking
-	active       bool
-	stats        ScanStats
-
-	// HintMarks / HintFaults count the promotion trap lifecycle.
-	HintMarks, HintFaults uint64
+	guestLoop
 }
 
 // ScanStats counts scanning-design activity (shared by TPP/TPPH/Nomad).
@@ -78,77 +65,121 @@ func NewTPP(cfg TPPConfig) *TPP { return &TPP{Cfg: cfg} }
 // Name implements Policy.
 func (p *TPP) Name() string { return "tpp" }
 
-// Stats returns a copy of the counters.
-func (p *TPP) Stats() ScanStats { return p.stats }
-
 // Attach implements Policy.
 func (p *TPP) Attach(eng *sim.Engine, vm *hypervisor.VM) {
-	if p.active {
-		panic("tmm: TPP attached twice")
+	p.attach(eng, vm, "TPP", &p.Cfg, tppFreeTarget, nil)
+}
+
+// The guest meta byte of a page managed by the loop: the saturating
+// A-bit score in the low bits and, for Nomad, a retained-shadow flag in
+// the top bit.
+const (
+	shadowBit = 0x80
+	scoreMask = shadowBit - 1
+)
+
+// guestLoop is the guest A-bit tiering loop of the NUMA-balancing
+// designs: bounded GPT scan rounds that age a per-page score, a rotating
+// pass that arms hint-fault promotion traps on saturated slow-tier pages,
+// promotion from the hint fault, and watermark demotion of cold
+// fast-tier pages. TPP runs it as is; Nomad adds a transactional
+// shadow-copy rule (tx) at promotion and demotion, never per scanned PTE.
+type guestLoop struct {
+	cfg          *TPPConfig
+	freeTarget   float64 // FMEM free watermark the demotion side keeps
+	tx           *Nomad  // shadow-copy migration rule; nil for TPP
+	vm           *hypervisor.VM
+	ticker       *sim.Ticker
+	cursor       uint64
+	markCursor   uint64
+	prevPromoted uint64 // promotions as of the previous mark pass
+	active       bool
+	stats        ScanStats
+
+	// HintMarks / HintFaults count the promotion trap lifecycle.
+	HintMarks, HintFaults uint64
+}
+
+// Stats returns a copy of the counters.
+func (l *guestLoop) Stats() ScanStats { return l.stats }
+
+func (l *guestLoop) attach(eng *sim.Engine, vm *hypervisor.VM, design string, cfg *TPPConfig, freeTarget float64, tx *Nomad) {
+	if l.active {
+		panic("tmm: " + design + " attached twice")
 	}
-	p.eng, p.vm, p.active = eng, vm, true
+	l.cfg, l.freeTarget, l.tx = cfg, freeTarget, tx
+	l.vm, l.active = vm, true
 	vm.Proc.GPT.ResetMeta()
-	vm.OnHintFault = p.hintFault
-	p.ticker = eng.StartTicker(p.Cfg.ScanPeriod, func(sim.Time) {
-		if p.active {
-			p.round()
+	vm.OnHintFault = l.hintFault
+	l.ticker = eng.StartTicker(cfg.ScanPeriod, func(sim.Time) {
+		if l.active {
+			l.round()
 		}
 	})
 }
 
 // Detach implements Policy.
-func (p *TPP) Detach() {
-	if !p.active {
+func (l *guestLoop) Detach() {
+	if !l.active {
 		return
 	}
-	p.active = false
-	p.vm.OnHintFault = nil
-	p.ticker.Stop()
+	l.active = false
+	l.vm.OnHintFault = nil
+	l.ticker.Stop()
 }
 
 // hintFault promotes the faulting page if a fast-tier frame is free; the
 // whole cost lands on the faulting access (the critical path), which is
 // TPP's characteristic promotion overhead.
-func (p *TPP) hintFault(gvpn uint64) sim.Duration {
-	vm := p.vm
+func (l *guestLoop) hintFault(gvpn uint64) sim.Duration {
+	vm := l.vm
 	cost := vm.Machine.Cost.HintFaultCost
 	e := vm.Proc.GPT.Lookup(gvpn)
 	if e == nil {
 		return cost
 	}
 	e.ClearHint()
-	p.HintFaults++
+	l.HintFaults++
 	mCost, err := vm.MigrateGuestPage(gvpn, 0)
 	cost += mCost // failed attempts still burn the work already done
 	if err == nil {
-		p.stats.Promoted++
+		l.stats.Promoted++
+		if l.tx != nil {
+			cost += l.tx.retainShadow(gvpn)
+		}
 	} else {
-		p.stats.FailedPromotions++
+		l.stats.FailedPromotions++
 	}
 	vm.Ledger.Charge(CompMigrate, cost)
 	return cost
 }
 
 // round is one scan-classify-migrate pass.
-func (p *TPP) round() {
-	vm := p.vm
+func (l *guestLoop) round() {
+	vm := l.vm
 	cm := &vm.Machine.Cost
 	gpt := vm.Proc.GPT
 	kernel := vm.Kernel
+	maxScore := l.cfg.MaxScore
 
 	var coldFast []uint64 // FMEM-resident, score 0: demotion candidates
 	var flushCost sim.Duration
 	cleared := 0
 
-	batch := p.Cfg.ScanBatchPages
+	batch := l.cfg.ScanBatchPages
 	if batch <= 0 {
 		batch = int(gpt.Mapped())
 	}
-	visited, next := gpt.ScanFrom(p.cursor, batch, func(gvpn uint64, e *pagetable.Entry) bool {
+	visited, next := gpt.ScanFrom(l.cursor, batch, func(gvpn uint64, e *pagetable.Entry) bool {
 		accessed := e.Accessed()
 		onFast := kernel.NodeOfGPFN(mem.Frame(e.Value())) == 0
-		sc := gpt.Meta(gvpn)
-		if !accessed && onFast && *sc > 0 {
+		meta := gpt.Meta(gvpn)
+		if e.Dirty() {
+			// A write invalidates a retained shadow copy. Only Nomad
+			// sets the bit, so for TPP this clears nothing.
+			*meta &^= shadowBit
+		}
+		if !accessed && onFast && *meta&scoreMask > 0 {
 			// Second-chance verification: a scored fast-tier page that
 			// looks idle may just have a stale TLB entry from an earlier
 			// no-flush clear. Invalidate it so the next access re-walks
@@ -158,7 +189,7 @@ func (p *TPP) round() {
 		}
 		if accessed {
 			e.ClearAccessed()
-			if !onFast || *sc < p.Cfg.MaxScore {
+			if !onFast || *meta&scoreMask < maxScore {
 				// Flush only where precise recency matters: promotion
 				// candidates in SMEM and not-yet-established fast-tier
 				// pages. Saturated hot pages are cleared WITHOUT a flush
@@ -171,60 +202,62 @@ func (p *TPP) round() {
 				cleared++
 			}
 		}
-		score := observe(sc, accessed, p.Cfg.MaxScore)
-		if e.Hinted() && score < p.Cfg.MaxScore {
+		score := observe(meta, accessed, maxScore)
+		if e.Hinted() && score < maxScore {
 			// The candidate cooled off before its promotion fault fired;
 			// expire the trap so stale marks don't win frames from
 			// genuinely hot pages.
 			e.ClearHint()
 		}
-		if onFast && score == 0 && len(coldFast) < 4*p.Cfg.MigrationBatch {
+		if onFast && score == 0 && len(coldFast) < 4*l.cfg.MigrationBatch {
 			coldFast = append(coldFast, gvpn)
 		}
 		return true
 	})
-	p.cursor = next
-	p.stats.Rounds++
-	p.stats.PTEsVisited += uint64(visited)
-	p.stats.HotObserved += uint64(cleared)
+	l.cursor = next
+	l.stats.Rounds++
+	l.stats.PTEsVisited += uint64(visited)
+	l.stats.HotObserved += uint64(cleared)
 
 	vm.ChargeGuest(CompTrack, sim.Duration(visited)*cm.ScanPTECost+flushCost)
 	vm.ChargeGuest(CompClassify, sim.Duration(visited)*cm.PTEOpCost/2)
 
-	p.markPass()
-	p.demote(coldFast)
+	l.markPass()
+	l.demote(coldFast)
 }
 
 // markPass is the NUMA-balancing side: a rate-limited, rotating pass that
 // arms promotion traps on qualifying slow-tier pages. The position cursor
 // wraps at the end of the table, so every candidate gets marked within a
 // few rounds and the page's own access decides the promotion race.
-func (p *TPP) markPass() {
-	vm := p.vm
+func (l *guestLoop) markPass() {
+	vm := l.vm
 	cm := &vm.Machine.Cost
+	gpt := vm.Proc.GPT
 	kernel := vm.Kernel
 	// Adaptive budget, like NUMA balancing's scan-rate backoff: marking
 	// far beyond migration capacity only manufactures failed promotion
 	// faults on the critical path.
-	recent := int(p.stats.Promoted - p.prevPromoted)
-	p.prevPromoted = p.stats.Promoted
+	recent := int(l.stats.Promoted - l.prevPromoted)
+	l.prevPromoted = l.stats.Promoted
 	markCap := 2*recent + 32
-	if markCap > 4*p.Cfg.MigrationBatch {
-		markCap = 4 * p.Cfg.MigrationBatch
+	if markCap > 4*l.cfg.MigrationBatch {
+		markCap = 4 * l.cfg.MigrationBatch
 	}
 	marked := 0
-	scanBudget := p.Cfg.ScanBatchPages
+	scanBudget := l.cfg.ScanBatchPages
 	if scanBudget <= 0 {
-		scanBudget = int(vm.Proc.GPT.Mapped())
+		scanBudget = int(gpt.Mapped())
 	}
 	var cost sim.Duration
-	visited, next := vm.Proc.GPT.ScanFrom(p.markCursor, scanBudget, func(gvpn uint64, e *pagetable.Entry) bool {
+	visited, next := gpt.ScanFrom(l.markCursor, scanBudget, func(gvpn uint64, e *pagetable.Entry) bool {
 		// Mark only saturated-score pages: sustained heat across several
 		// scans, not a lucky window. This is what keeps the promotion
 		// race dominated by genuinely hot pages instead of cold drifters
-		// whose A bit happened to be set.
+		// whose A bit happened to be set. A deeper counter (Nomad's
+		// MaxScore 6) makes saturation slower to reach.
 		if kernel.NodeOfGPFN(mem.Frame(e.Value())) != 0 && !e.Hinted() &&
-			*vm.Proc.GPT.Meta(gvpn) >= p.Cfg.MaxScore {
+			*gpt.Meta(gvpn)&scoreMask >= l.cfg.MaxScore {
 			e.MarkHint()
 			cost += vm.FlushSingle(gvpn) // PROT_NONE change
 			marked++
@@ -234,8 +267,8 @@ func (p *TPP) markPass() {
 		}
 		return true
 	})
-	p.markCursor = next
-	p.HintMarks += uint64(marked)
+	l.markCursor = next
+	l.HintMarks += uint64(marked)
 	// The pass rides along the balancing scan; charge a light touch per
 	// visited PTE plus the flushes.
 	vm.ChargeGuest(CompTrack, sim.Duration(visited)*cm.PTEOpCost+cost)
@@ -243,21 +276,32 @@ func (p *TPP) markPass() {
 
 // demote is the kswapd side: restore the free watermark so hint faults
 // find frames, demoting the coldest fast-tier pages, bounded per round.
-func (p *TPP) demote(coldFast []uint64) {
-	vm := p.vm
+func (l *guestLoop) demote(coldFast []uint64) {
+	vm := l.vm
 	fastNode := vm.Kernel.Topo.Nodes[0]
 	var migrateCost sim.Duration
-	target := uint64(float64(fastNode.Frames()) * p.Cfg.FreeTargetFrac)
+	target := uint64(float64(fastNode.Frames()) * l.freeTarget)
 	moved := 0
-	ci := 0
-	for fastNode.FreeFrames() < target && ci < len(coldFast) && moved < p.Cfg.MigrationBatch {
-		cost, err := vm.MigrateGuestPage(coldFast[ci], 1)
-		ci++
-		migrateCost += cost
+	for ci := 0; fastNode.FreeFrames() < target && ci < len(coldFast) && moved < l.cfg.MigrationBatch; ci++ {
+		gvpn := coldFast[ci]
+		if l.tx != nil {
+			if cost, ok := l.tx.demoteToShadow(gvpn); ok {
+				migrateCost += cost
+				l.stats.Demoted++
+				moved++
+				continue
+			}
+		}
+		cost, err := vm.MigrateGuestPage(gvpn, 1)
+		if err == nil || l.tx == nil {
+			// TPP books the work a failed attempt burned; Nomad's
+			// model has only ever charged completed demotions.
+			migrateCost += cost
+		}
 		if err != nil {
 			continue
 		}
-		p.stats.Demoted++
+		l.stats.Demoted++
 		moved++
 	}
 	vm.ChargeGuest(CompMigrate, migrateCost)

@@ -14,9 +14,10 @@ import (
 // runs in the guest and knows each PTE's gVA, every cleared bit costs a
 // single-address invalidation, never a full flush. An accessed page gains
 // a saturating score and a fresh LastSeen; an idle page decays one step
-// per visit.
+// per visit. The idlepage kind runs this same scan (idleTracker).
 type abitTracker struct {
 	cfg    Config
+	kind   string // "abit", or "idlepage" for idleTracker's view
 	eng    *sim.Engine
 	vm     *hypervisor.VM
 	ticker *sim.Ticker
@@ -38,14 +39,14 @@ func newABitTracker(cfg Config) (Tracker, error) {
 	if cfg.Period == 0 {
 		cfg.Period = defaultABitScanPeriod
 	}
-	return &abitTracker{cfg: cfg}, nil
+	return &abitTracker{cfg: cfg, kind: "abit"}, nil
 }
 
-func (t *abitTracker) Name() string { return "abit" }
+func (t *abitTracker) Name() string { return t.kind }
 
 func (t *abitTracker) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 	if t.active {
-		return fmt.Errorf("track: abit tracker already attached")
+		return fmt.Errorf("track: %s tracker already attached", t.kind)
 	}
 	t.eng, t.vm, t.active = eng, vm, true
 	t.cursor = 0

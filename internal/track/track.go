@@ -14,7 +14,8 @@
 //     internal/guestos — TPP's tracking side without its policy.
 //   - idlepage: idle-page aging in the style of Linux's page_idle
 //     bitmap — pure recency, no frequency; the feed memtierd's
-//     idle-age histograms are built from.
+//     idle-age histograms are built from. It is a read view of the
+//     abit scan: the same rounds, with every seen page at Accesses 1.
 //
 // Trackers attach to a live VM, charge their tracking CPU to the same
 // ledger component the integrated designs use ("track"), and expose one

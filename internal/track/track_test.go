@@ -1,7 +1,10 @@
 package track
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"demeter/internal/engine"
@@ -145,6 +148,8 @@ func TestTrackerDoubleAttachErrors(t *testing.T) {
 		}
 		if err := tr.Attach(eng, vm); err == nil {
 			t.Errorf("%s: double attach did not error", kind)
+		} else if !strings.Contains(err.Error(), kind+" tracker") {
+			t.Errorf("%s: double-attach error %q does not name the kind", kind, err)
 		}
 		tr.Detach()
 		tr.Detach() // idempotent
@@ -209,6 +214,55 @@ func TestTrackersAreDeterministic(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("%s: counter %d differs: %+v vs %+v", kind, i, a[i], b[i])
 			}
+		}
+	}
+}
+
+// TestScanTrackerGolden pins the read models of the two A-bit scanning
+// trackers after a fixed run to digests taken before idlepage became a
+// view of the abit scan, so the merge is checked against the old code
+// rather than only against itself.
+func TestScanTrackerGolden(t *testing.T) {
+	// Period 0 selects each kind's default cadence.
+	cases := []struct {
+		kind   string
+		period sim.Duration
+		batch  int
+		want   string
+	}{
+		{"abit", 2 * sim.Millisecond, 4096, "300 counters 2f1ae2225733a928 track=1044150"},
+		{"abit", 2 * sim.Millisecond, 64, "300 counters 3c36e51af922891b track=238680"},
+		{"abit", 0, 64, "300 counters 60dc63c4c4f68a47 track=49500"},
+		{"idlepage", 2 * sim.Millisecond, 4096, "300 counters 039c3b536d2a2242 track=1044150"},
+		{"idlepage", 2 * sim.Millisecond, 64, "300 counters 5584519706bc5517 track=238680"},
+		{"idlepage", 0, 64, "128 counters ee98e2643b6a993d track=21120"},
+	}
+	for _, c := range cases {
+		eng, vm, x, _ := rig(t)
+		cfg := testConfig(c.kind)
+		cfg.Period, cfg.ScanBatch = c.period, c.batch
+		tr, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Attach(eng, vm); err != nil {
+			t.Fatal(err)
+		}
+		if !engine.RunAll(eng, 100*sim.Second, x) {
+			t.Fatal("workload did not finish")
+		}
+		// Idle time after the run lets scores decay and gives the
+		// default cadences several rounds.
+		eng.Run(eng.Now() + 250*sim.Millisecond)
+		tr.Detach()
+		h := sha256.New()
+		counters := tr.Counters()
+		for _, ctr := range counters {
+			fmt.Fprintf(h, "%+v\n", ctr)
+		}
+		got := fmt.Sprintf("%d counters %x track=%d", len(counters), h.Sum(nil)[:8], vm.Ledger.Total("track"))
+		if got != c.want {
+			t.Errorf("%s period %v batch %d: got %q, want %q", c.kind, c.period, c.batch, got, c.want)
 		}
 	}
 }
