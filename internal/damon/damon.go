@@ -58,6 +58,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// ScaledConfig returns DefaultConfig rescaled to aggregate every period,
+// keeping Linux's 20:1 aggregation:sampling shape (sampling at least every
+// 1ns). A zero period keeps the defaults.
+func ScaledConfig(period sim.Duration) Config {
+	cfg := DefaultConfig()
+	if period != 0 {
+		cfg.AggregationInterval = period
+		cfg.SamplingInterval = max(period/20, 1)
+	}
+	return cfg
+}
+
 // Region is one monitored address range with its estimated access count.
 type Region struct {
 	StartPage, EndPage uint64

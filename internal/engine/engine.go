@@ -30,6 +30,7 @@ const (
 
 // defaultBatchSize is what new executors start with; the demeter-sim
 // -batch flag overrides it process-wide before any executor is built.
+//
 //lint:allow crossshard written once by CLI flag parsing before any executor exists; read-only while runs execute
 var defaultBatchSize = DefaultBatchSize
 

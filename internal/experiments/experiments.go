@@ -38,13 +38,9 @@ import (
 	"demeter/internal/workload"
 )
 
-// Policy is the common TMM lifecycle (structurally satisfied by
-// core.Demeter and every tmm design).
-type Policy interface {
-	Name() string
-	Attach(eng *sim.Engine, vm *hypervisor.VM)
-	Detach()
-}
+// Policy is the common TMM lifecycle (satisfied by core.Demeter and
+// every tmm design).
+type Policy = tmm.Policy
 
 // Scale compresses the paper's configuration.
 type Scale struct {
@@ -178,16 +174,10 @@ func (s Scale) NewPolicy(design string) Policy {
 		return core.New(cfg)
 	case "tpp":
 		cfg := tmm.DefaultTPPConfig()
-		cfg.ScanPeriod = s.ScanPeriod
-		cfg.ScanBatchPages = s.ScanBatch
-		cfg.MigrationBatch = s.MigrationBatch
+		cfg.ScanConfig = s.scanConfig()
 		return tmm.NewTPP(cfg)
 	case "tpp-h":
-		cfg := tmm.DefaultTPPHConfig()
-		cfg.ScanPeriod = s.ScanPeriod
-		cfg.ScanBatchPages = s.ScanBatch
-		cfg.MigrationBatch = s.MigrationBatch
-		return tmm.NewTPPH(cfg)
+		return tmm.NewTPPH(s.scanConfig())
 	case "memtis":
 		cfg := tmm.DefaultMemtisConfig()
 		cfg.SamplePeriod = s.MemtisSamplePeriod
@@ -198,16 +188,10 @@ func (s Scale) NewPolicy(design string) Policy {
 		return tmm.NewMemtis(cfg)
 	case "nomad":
 		cfg := tmm.DefaultNomadConfig()
-		cfg.ScanPeriod = s.ScanPeriod
-		cfg.ScanBatchPages = s.ScanBatch
-		cfg.MigrationBatch = s.MigrationBatch
+		cfg.ScanConfig = s.scanConfig()
 		return tmm.NewNomad(cfg)
 	case "vtmm":
-		cfg := tmm.DefaultVTMMConfig()
-		cfg.SortPeriod = s.ScanPeriod
-		cfg.ScanBatchPages = s.ScanBatch
-		cfg.MigrationBatch = s.MigrationBatch
-		return tmm.NewVTMM(cfg)
+		return tmm.NewVTMM(s.scanConfig())
 	case "damon":
 		cfg := damon.DefaultConfig()
 		cfg.SamplingInterval = 100 * sim.Microsecond
@@ -221,6 +205,12 @@ func (s Scale) NewPolicy(design string) Policy {
 	default:
 		panic(fmt.Sprintf("experiments: unknown design %q", design))
 	}
+}
+
+// scanConfig is the cadence and batch bounds every A-bit scanning design
+// runs with at this scale.
+func (s Scale) scanConfig() tmm.ScanConfig {
+	return tmm.ScanConfig{ScanPeriod: s.ScanPeriod, ScanBatchPages: s.ScanBatch, MigrationBatch: s.MigrationBatch}
 }
 
 // NewApp builds one of the §5.3 application workloads at this scale.

@@ -125,7 +125,8 @@ type Config struct {
 	// stays frozen — the baseline the degraded experiment compares
 	// against.
 	Failover bool
-	// Fallback configures the host-side VTMM attached on failover.
+	// Fallback configures the host-side VTMM attached on failover; its
+	// cadence should follow the run's scaled periods, not the paper's.
 	Fallback tmm.VTMMConfig
 }
 

@@ -216,6 +216,7 @@ func NewTopology(nodes ...NodeConfig) *Topology {
 // the access hot path's tier lookup: node ranges are contiguous and
 // ascending, so resolution is a compare per node against the cached
 // bounds — no pointer chasing and no TierSpec copy.
+//
 //demeter:hotpath
 func (t *Topology) Tier(f Frame) (loadedLatency sim.Duration, kind TierKind) {
 	for i := range t.tiers {
@@ -252,6 +253,7 @@ type NodeConfig struct {
 }
 
 // NodeOf returns the node owning frame f.
+//
 //demeter:hotpath
 func (t *Topology) NodeOf(f Frame) *Node {
 	for _, n := range t.Nodes {

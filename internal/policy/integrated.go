@@ -12,12 +12,13 @@ import (
 )
 
 // integrated adapts the designs that bundle their own tracking —
-// internal/tmm's five baselines, core.Demeter and the DAMON-based
-// policy — to the tracker × policy interface. The tracker argument is
+// internal/tmm's six designs, core.Demeter and the DAMON-based policy —
+// to the tracker × policy interface. The tracker argument is
 // ignored: these designs ARE a tracker+policy pairing fused by
 // construction, which is exactly the coupling this package exists to
 // contrast with.
 type integrated struct {
+	kind   string
 	inner  tmm.Policy
 	active bool
 }
@@ -33,21 +34,11 @@ func newIntegrated(cfg Config) (Policy, error) {
 		inner = tmm.NewStatic()
 	case "tpp":
 		c := tmm.DefaultTPPConfig()
-		if cfg.Period != 0 {
-			c.ScanPeriod = cfg.Period
-		}
-		if cfg.MigrationBatch != defaultMigrationCap {
-			c.MigrationBatch = cfg.MigrationBatch
-		}
+		cfg.overrideScan(&c.ScanConfig)
 		inner = tmm.NewTPP(c)
 	case "tpph":
 		c := tmm.DefaultTPPHConfig()
-		if cfg.Period != 0 {
-			c.ScanPeriod = cfg.Period
-		}
-		if cfg.MigrationBatch != defaultMigrationCap {
-			c.MigrationBatch = cfg.MigrationBatch
-		}
+		cfg.overrideScan(&c)
 		inner = tmm.NewTPPH(c)
 	case "memtis":
 		c := tmm.DefaultMemtisConfig()
@@ -70,21 +61,11 @@ func newIntegrated(cfg Config) (Policy, error) {
 		inner = tmm.NewMemtis(c)
 	case "nomad":
 		c := tmm.DefaultNomadConfig()
-		if cfg.Period != 0 {
-			c.ScanPeriod = cfg.Period
-		}
-		if cfg.MigrationBatch != defaultMigrationCap {
-			c.MigrationBatch = cfg.MigrationBatch
-		}
+		cfg.overrideScan(&c.ScanConfig)
 		inner = tmm.NewNomad(c)
 	case "vtmm":
 		c := tmm.DefaultVTMMConfig()
-		if cfg.Period != 0 {
-			c.SortPeriod = cfg.Period
-		}
-		if cfg.MigrationBatch != defaultMigrationCap {
-			c.MigrationBatch = cfg.MigrationBatch
-		}
+		cfg.overrideScan(&c)
 		inner = tmm.NewVTMM(c)
 	case "demeter":
 		c := core.DefaultConfig()
@@ -99,14 +80,7 @@ func newIntegrated(cfg Config) (Policy, error) {
 		}
 		inner = core.New(c)
 	case "damon":
-		dcfg := damon.DefaultConfig()
-		if cfg.Period != 0 {
-			dcfg.AggregationInterval = cfg.Period
-			dcfg.SamplingInterval = cfg.Period / 20
-			if dcfg.SamplingInterval <= 0 {
-				dcfg.SamplingInterval = 1
-			}
-		}
+		dcfg := damon.ScaledConfig(cfg.Period)
 		hotBar := uint32(defaultHotThreshold)
 		if cfg.HotThreshold > 0 {
 			hotBar = uint32(cfg.HotThreshold)
@@ -119,14 +93,27 @@ func newIntegrated(cfg Config) (Policy, error) {
 	default:
 		return nil, fmt.Errorf("policy: unknown integrated kind %q", cfg.Kind)
 	}
-	return &integrated{inner: inner}, nil
+	return &integrated{kind: cfg.Kind, inner: inner}, nil
 }
 
-func (a *integrated) Name() string { return a.inner.Name() }
+// overrideScan maps Period and MigrationBatch onto an A-bit scanning
+// design's scan config.
+func (cfg Config) overrideScan(sc *tmm.ScanConfig) {
+	if cfg.Period != 0 {
+		sc.ScanPeriod = cfg.Period
+	}
+	if cfg.MigrationBatch != defaultMigrationCap {
+		sc.MigrationBatch = cfg.MigrationBatch
+	}
+}
+
+// Name returns the config kind, which a serve config can select again;
+// the inner design's own name may differ (tpph's is "tpp-h").
+func (a *integrated) Name() string { return a.kind }
 
 func (a *integrated) Attach(eng *sim.Engine, vm *hypervisor.VM, _ track.Tracker) error {
 	if a.active {
-		return fmt.Errorf("policy: %s already attached", a.inner.Name())
+		return fmt.Errorf("policy: %s already attached", a.kind)
 	}
 	a.active = true
 	a.inner.Attach(eng, vm)

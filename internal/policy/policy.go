@@ -14,7 +14,7 @@
 //     classifier — sort by score, fill FMEM from the top, swap when
 //     full (§3.2.3's balanced relocation).
 //
-// The five integrated designs (static, tpp, tpph, memtis, nomad, vtmm,
+// The eight integrated designs (static, tpp, tpph, memtis, nomad, vtmm,
 // demeter, damon) are also exposed through the same interface via an
 // adapter that ignores the tracker — they bundle their own tracking —
 // so a serve config selects any of them with the same `policy` stanza.

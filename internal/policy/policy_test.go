@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"demeter/internal/engine"
@@ -152,8 +154,20 @@ func TestFrequencyPairingsPromoteHotPages(t *testing.T) {
 }
 
 // TestIntegratedKindsAttachViaConfig runs each integrated design from
-// the same config surface; the tracker is ignored.
+// the same config surface (the tracker is ignored) and pins the run:
+// both ledgers, the run time and the TLB. It catches a drift in how
+// Period and MigrationBatch map onto each design's own knobs.
 func TestIntegratedKindsAttachViaConfig(t *testing.T) {
+	want := map[string]string{
+		"damon":   "classify=1620 migrate=0 track=228345 | | runtime=58145474 tlb={Lookups:200300 Hits:198873 Misses:1427 SingleFlushes:1179 FullFlushes:0 Evictions:0 Fills:1427}",
+		"demeter": "classify=870 track=1200 | | runtime=57410505 tlb={Lookups:200300 Hits:200000 Misses:300 SingleFlushes:0 FullFlushes:0 Evictions:0 Fills:300}",
+		"memtis":  "classify=10620 migrate=11881 track=5833465 | | runtime=58651772 tlb={Lookups:200300 Hits:199993 Misses:307 SingleFlushes:7 FullFlushes:0 Evictions:0 Fills:307}",
+		"nomad":   "classify=24750 migrate=480000 track=571320 | | runtime=59547413 tlb={Lookups:200300 Hits:196892 Misses:3408 SingleFlushes:3300 FullFlushes:0 Evictions:0 Fills:3408}",
+		"static":  "| | runtime=57410001 tlb={Lookups:200300 Hits:200000 Misses:300 SingleFlushes:0 FullFlushes:0 Evictions:0 Fills:300}",
+		"tpp":     "classify=24750 migrate=590000 track=556620 | | runtime=59513638 tlb={Lookups:200300 Hits:196988 Misses:3312 SingleFlushes:3248 FullFlushes:0 Evictions:0 Fills:3312}",
+		"tpph":    "| classify=24750 migrate=0 track=56100 | runtime=59487783 tlb={Lookups:200300 Hits:196700 Misses:3600 SingleFlushes:0 FullFlushes:11 Evictions:0 Fills:3600}",
+		"vtmm":    "| classify=360000 migrate=942240 track=748200 | runtime=50784603 tlb={Lookups:200300 Hits:197022 Misses:3278 SingleFlushes:0 FullFlushes:980 Evictions:0 Fills:3278}",
+	}
 	for _, kind := range Kinds() {
 		if TrackerDriven(kind) {
 			continue
@@ -164,12 +178,26 @@ func TestIntegratedKindsAttachViaConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if pol.Name() != kind {
+				t.Fatalf("Name() = %q, want %q", pol.Name(), kind)
+			}
 			if err := pol.Attach(eng, vm, nil); err != nil {
 				t.Fatal(err)
 			}
 			defer pol.Detach()
 			if !engine.RunAll(eng, 100*sim.Second, x) {
 				t.Fatal("workload did not finish")
+			}
+			var b strings.Builder
+			for _, l := range []*sim.Ledger{vm.Ledger, vm.Machine.HostLedger} {
+				for _, comp := range l.Components() {
+					fmt.Fprintf(&b, "%s=%d ", comp, l.Total(comp))
+				}
+				b.WriteString("| ")
+			}
+			fmt.Fprintf(&b, "runtime=%d tlb=%+v", x.Runtime(), vm.TLB.Stats())
+			if got := b.String(); got != want[kind] {
+				t.Errorf("golden drift\n got: %s\nwant: %s", got, want[kind])
 			}
 		})
 	}

@@ -92,6 +92,24 @@ func TestGoldenPolicyRuns(t *testing.T) {
 			defer p.Detach()
 			return goldenRun(t, eng, vm, x, func() []any { return []any{p.Stats()} })
 		}, "{Rounds:99 PTEsVisited:786432 HotObserved:197831 Promoted:8168 Demoted:8168 FailedPromotions:24738} | classify=5898240 migrate=16033784 track=12036480 | runtime=198886204 tlb={Lookups:308192 Hits:109525 Misses:198667 SingleFlushes:0 FullFlushes:16736 Evictions:0 Fills:198667}"},
+		{"tpp-h-bounded-reattach", func(t *testing.T) string {
+			// A bounded EPT scan wraps its cursor, and a second Attach on
+			// the same EPT must start from zero scores.
+			eng, vm, x, _ := rig(t, 1024, 16384, 8192, 300_000)
+			cfg := testTPPH()
+			cfg.ScanBatchPages = 1500
+			first := NewTPPH(cfg)
+			first.Attach(eng, vm)
+			x.Start()
+			eng.Run(sim.Time(40 * sim.Millisecond))
+			first.Detach()
+			p := NewTPPH(cfg)
+			p.Attach(eng, vm)
+			defer p.Detach()
+			for !x.Finished() && eng.Step() {
+			}
+			return goldenRun(t, eng, vm, x, func() []any { return []any{first.Stats(), p.Stats()} })
+		}, "{Rounds:20 PTEsVisited:26624 HotObserved:16802 Promoted:0 Demoted:0 FailedPromotions:5098} {Rounds:96 PTEsVisited:131072 HotObserved:90937 Promoted:662 Demoted:662 FailedPromotions:81954} | classify=1182720 migrate=1299506 track=2519040 | runtime=233944228 tlb={Lookups:308192 Hits:100014 Misses:208178 SingleFlushes:0 FullFlushes:1580 Evictions:0 Fills:208178}"},
 		{"nomad", func(t *testing.T) string {
 			eng, vm, x, _ := rig(t, 1024, 16384, 8192, 400_000)
 			p := NewNomad(testNomad())
@@ -156,6 +174,22 @@ func TestGoldenPolicyRuns(t *testing.T) {
 			defer p.Detach()
 			return goldenRun(t, eng, vm, x, func() []any { return []any{p.Stats(), p.PMLExits} })
 		}, "{Rounds:131 PTEsVisited:539680 HotObserved:197114 Promoted:67072 Demoted:67072 FailedPromotions:0} 447 | classify=113298915 migrate=131662336 track=22030040 | runtime=263046232 tlb={Lookups:408192 Hits:145286 Misses:262906 SingleFlushes:0 FullFlushes:134397 Evictions:0 Fills:262906}"},
+		{"vtmm-reattach", func(t *testing.T) string {
+			// A second Attach re-enables PML and starts from an empty
+			// count plane.
+			eng, vm, x, _ := rig(t, 1024, 16384, 8192, 400_000)
+			first := NewVTMM(testVTMM())
+			first.Attach(eng, vm)
+			x.Start()
+			eng.Run(sim.Time(40 * sim.Millisecond))
+			first.Detach()
+			p := NewVTMM(testVTMM())
+			p.Attach(eng, vm)
+			defer p.Detach()
+			for !x.Finished() && eng.Step() {
+			}
+			return goldenRun(t, eng, vm, x, func() []any { return []any{first.Stats(), first.PMLExits, p.Stats(), p.PMLExits} })
+		}, "{Rounds:20 PTEsVisited:81920 HotObserved:22905 Promoted:10240 Demoted:10240 FailedPromotions:0} 54 {Rounds:111 PTEsVisited:457760 HotObserved:173972 Promoted:56832 Demoted:56832 FailedPromotions:0} 391 | classify=112520910 migrate=131662336 track=22030040 | runtime=263850837 tlb={Lookups:408192 Hits:144813 Misses:263379 SingleFlushes:0 FullFlushes:134397 Evictions:0 Fills:263379}"},
 		{"memtis", func(t *testing.T) string {
 			eng, vm, x, _ := rig(t, 1024, 16384, 8192, 400_000)
 			p := NewMemtis(testMemtis())

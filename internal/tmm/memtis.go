@@ -57,7 +57,6 @@ func DefaultMemtisConfig() MemtisConfig {
 type Memtis struct {
 	Cfg MemtisConfig
 
-	eng      *sim.Engine
 	vm       *hypervisor.VM
 	unit     *pebs.Unit
 	poll     *sim.Ticker
@@ -65,15 +64,9 @@ type Memtis struct {
 	active   bool
 	stats    MemtisStats
 
-	// hist holds each gpfn's decayed access count in blocks indexed by
-	// gpfn>>histShift, allocated on a block's first sample. A zero cell
-	// is an untracked page: tracked counts never fall below 0.25.
-	hist     []*[1 << histShift]float64
-	histLive int     // non-zero hist cells
-	mark     []uint8 // reverseMap's wanted-gpfn plane, zero between rounds
+	hist gpfnCounts // each gpfn's decayed sample count
+	mark []uint8    // reverseMap's wanted-gpfn plane, zero between rounds
 }
-
-const histShift = 9
 
 // MemtisStats counts activity.
 type MemtisStats struct {
@@ -98,8 +91,8 @@ func (p *Memtis) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 	if p.active {
 		panic("tmm: Memtis attached twice")
 	}
-	p.eng, p.vm, p.active = eng, vm, true
-	p.hist, p.histLive = nil, 0
+	p.vm, p.active = vm, true
+	p.hist = gpfnCounts{}
 
 	unit, err := pebs.NewUnit(pebs.ConfigWithPeriod(p.Cfg.SamplePeriod))
 	if err != nil {
@@ -156,18 +149,7 @@ func (p *Memtis) drain() {
 		p.stats.Samples++
 		if gpfn, ok := vm.Proc.Translate(s.GVPN); ok {
 			p.stats.Translated++
-			bi := int(gpfn >> histShift)
-			if bi >= len(p.hist) {
-				p.hist = append(p.hist, make([]*[1 << histShift]float64, bi+1-len(p.hist))...)
-			}
-			if p.hist[bi] == nil {
-				p.hist[bi] = new([1 << histShift]float64)
-			}
-			c := &p.hist[bi][gpfn&(1<<histShift-1)]
-			if *c == 0 {
-				p.histLive++
-			}
-			*c++
+			p.hist.add(uint64(gpfn))
 		}
 	}
 }
@@ -181,31 +163,16 @@ func (p *Memtis) round() {
 	var hot []uint64      // slow-tier gpfns above the threshold
 	var coldFast []uint64 // fast-tier gpfns below it
 	cool := p.Cfg.CoolEveryRounds > 0 && (p.stats.Rounds+1)%p.Cfg.CoolEveryRounds == 0
-	for bi, blk := range p.hist {
-		if blk == nil {
-			continue
+	p.hist.sweep(cool, func(gpfn uint64, count float64) {
+		if count >= p.Cfg.HotThreshold {
+			if kernel.NodeOfGPFN(mem.Frame(gpfn)) != 0 && len(hot) < p.Cfg.MigrationBatch {
+				hot = append(hot, gpfn)
+			}
+		} else if kernel.NodeOfGPFN(mem.Frame(gpfn)) == 0 && len(coldFast) < 4*p.Cfg.MigrationBatch {
+			coldFast = append(coldFast, gpfn)
 		}
-		for j, count := range blk {
-			if count == 0 {
-				continue
-			}
-			gpfn := uint64(bi)<<histShift | uint64(j)
-			if count >= p.Cfg.HotThreshold {
-				if kernel.NodeOfGPFN(mem.Frame(gpfn)) != 0 && len(hot) < p.Cfg.MigrationBatch {
-					hot = append(hot, gpfn)
-				}
-			} else if kernel.NodeOfGPFN(mem.Frame(gpfn)) == 0 && len(coldFast) < 4*p.Cfg.MigrationBatch {
-				coldFast = append(coldFast, gpfn)
-			}
-			if cool {
-				if blk[j] = count / 2; blk[j] < 0.25 {
-					blk[j] = 0
-					p.histLive--
-				}
-			}
-		}
-	}
-	vm.ChargeGuest(CompClassify, sim.Duration(p.histLive)*cm.PTEOpCost)
+	})
+	vm.ChargeGuest(CompClassify, sim.Duration(p.hist.n)*cm.PTEOpCost)
 	p.stats.Rounds++
 
 	// Memtis migrates physical pages; the guest variant moves the gVA
@@ -247,7 +214,7 @@ func (p *Memtis) round() {
 // gpfn with its list until found, so the GPT walk stops once all are;
 // the guest maps each gpfn at most once (guestos.Kernel.Audit).
 func (p *Memtis) reverseMap(hot, cold []uint64) (hotGVA, coldGVA []uint64) {
-	if n := len(p.hist) << histShift; len(p.mark) < n {
+	if n := len(p.hist.blocks) << countShift; len(p.mark) < n {
 		p.mark = make([]uint8, n)
 	}
 	lists := [2][]uint64{hot, cold}

@@ -28,9 +28,8 @@ const nomadFreeTarget = 0.02
 func DefaultNomadConfig() NomadConfig {
 	return NomadConfig{
 		TPPConfig: TPPConfig{
-			ScanPeriod:     sim.Second,
-			MaxScore:       6,
-			MigrationBatch: 4096,
+			ScanConfig: ScanConfig{ScanPeriod: sim.Second, MigrationBatch: 4096},
+			MaxScore:   6,
 		},
 		ShadowFaultCount: 2,
 		DirtyRetryFrac:   0.15,

@@ -296,7 +296,7 @@ func TestScoreboard(t *testing.T) {
 
 func testVTMM() VTMMConfig {
 	cfg := DefaultVTMMConfig()
-	cfg.SortPeriod = 2 * sim.Millisecond
+	cfg.ScanPeriod = 2 * sim.Millisecond
 	cfg.ScanBatchPages = 7200
 	return cfg
 }
@@ -347,5 +347,23 @@ func TestVTMMSlowerThanDemeterStyleGuest(t *testing.T) {
 	vtmm := run(true)
 	if vtmm <= tpp {
 		t.Fatalf("vTMM (%v) should be slower than guest TPP (%v)", vtmm, tpp)
+	}
+}
+
+// A zero ScanBatchPages means an unbounded scan for every EPT design, as
+// it does for the guest loop, not a scan of nothing.
+func TestVTMMZeroScanBatchIsUnbounded(t *testing.T) {
+	eng, vm, x, _ := rig(t, 256, 1024, 512, 20_000)
+	cfg := testVTMM()
+	cfg.ScanBatchPages = 0
+	p := NewVTMM(cfg)
+	p.Attach(eng, vm)
+	defer p.Detach()
+	if !engine.RunAll(eng, 100*sim.Second, x) {
+		t.Fatal("did not finish")
+	}
+	st := p.Stats()
+	if st.Rounds == 0 || st.PTEsVisited == 0 {
+		t.Fatalf("vTMM with ScanBatchPages 0 visited %d PTEs in %d rounds", st.PTEsVisited, st.Rounds)
 	}
 }

@@ -9,18 +9,11 @@ import (
 
 // TPPConfig tunes the guest A-bit tiering loop that TPP and Nomad share.
 type TPPConfig struct {
-	// ScanPeriod is the A-bit scan cadence.
-	ScanPeriod sim.Duration
+	ScanConfig
 	// MaxScore caps the saturating counter; a slow-tier page is marked
 	// for promotion once its score saturates. It must stay below
 	// shadowBit.
 	MaxScore uint8
-	// MigrationBatch caps promotions per round.
-	MigrationBatch int
-	// ScanBatchPages bounds the PTEs visited per round; the scan resumes
-	// from a cursor next round, like kswapd's incremental LRU walks.
-	// Zero means unbounded.
-	ScanBatchPages int
 }
 
 // tppFreeTarget is the FMEM free watermark TPP's demotion side (kswapd)
@@ -30,9 +23,8 @@ const tppFreeTarget = 0.04
 // DefaultTPPConfig mirrors TPP's Linux incarnation at full time scale.
 func DefaultTPPConfig() TPPConfig {
 	return TPPConfig{
-		ScanPeriod:     sim.Second,
-		MaxScore:       4,
-		MigrationBatch: 4096,
+		ScanConfig: ScanConfig{ScanPeriod: sim.Second, MigrationBatch: 4096},
+		MaxScore:   4,
 	}
 }
 
@@ -47,16 +39,6 @@ func DefaultTPPConfig() TPPConfig {
 type TPP struct {
 	Cfg TPPConfig
 	guestLoop
-}
-
-// ScanStats counts scanning-design activity (shared by TPP/TPPH/Nomad).
-type ScanStats struct {
-	Rounds           uint64
-	PTEsVisited      uint64
-	HotObserved      uint64
-	Promoted         uint64
-	Demoted          uint64
-	FailedPromotions uint64
 }
 
 // NewTPP returns a detached guest TPP.
@@ -85,47 +67,29 @@ const (
 // fast-tier pages. TPP runs it as is; Nomad adds a transactional
 // shadow-copy rule (tx) at promotion and demotion, never per scanned PTE.
 type guestLoop struct {
-	cfg          *TPPConfig
+	scanLoop
+	maxScore     uint8
 	freeTarget   float64 // FMEM free watermark the demotion side keeps
 	tx           *Nomad  // shadow-copy migration rule; nil for TPP
-	vm           *hypervisor.VM
-	ticker       *sim.Ticker
-	cursor       uint64
 	markCursor   uint64
 	prevPromoted uint64 // promotions as of the previous mark pass
-	active       bool
-	stats        ScanStats
 
 	// HintMarks / HintFaults count the promotion trap lifecycle.
 	HintMarks, HintFaults uint64
 }
 
-// Stats returns a copy of the counters.
-func (l *guestLoop) Stats() ScanStats { return l.stats }
-
 func (l *guestLoop) attach(eng *sim.Engine, vm *hypervisor.VM, design string, cfg *TPPConfig, freeTarget float64, tx *Nomad) {
-	if l.active {
-		panic("tmm: " + design + " attached twice")
-	}
-	l.cfg, l.freeTarget, l.tx = cfg, freeTarget, tx
-	l.vm, l.active = vm, true
+	l.start(eng, vm, design, &cfg.ScanConfig, l.round)
+	l.maxScore, l.freeTarget, l.tx = cfg.MaxScore, freeTarget, tx
 	vm.Proc.GPT.ResetMeta()
 	vm.OnHintFault = l.hintFault
-	l.ticker = eng.StartTicker(cfg.ScanPeriod, func(sim.Time) {
-		if l.active {
-			l.round()
-		}
-	})
 }
 
 // Detach implements Policy.
 func (l *guestLoop) Detach() {
-	if !l.active {
-		return
+	if l.stop() {
+		l.vm.OnHintFault = nil
 	}
-	l.active = false
-	l.vm.OnHintFault = nil
-	l.ticker.Stop()
 }
 
 // hintFault promotes the faulting page if a fast-tier frame is free; the
@@ -160,17 +124,13 @@ func (l *guestLoop) round() {
 	cm := &vm.Machine.Cost
 	gpt := vm.Proc.GPT
 	kernel := vm.Kernel
-	maxScore := l.cfg.MaxScore
+	maxScore := l.maxScore
 
 	var coldFast []uint64 // FMEM-resident, score 0: demotion candidates
 	var flushCost sim.Duration
 	cleared := 0
 
-	batch := l.cfg.ScanBatchPages
-	if batch <= 0 {
-		batch = int(gpt.Mapped())
-	}
-	visited, next := gpt.ScanFrom(l.cursor, batch, func(gvpn uint64, e *pagetable.Entry) bool {
+	visited, next := gpt.ScanFrom(l.cursor, l.budget(gpt), func(gvpn uint64, e *pagetable.Entry) bool {
 		accessed := e.Accessed()
 		onFast := kernel.NodeOfGPFN(mem.Frame(e.Value())) == 0
 		meta := gpt.Meta(gvpn)
@@ -245,19 +205,15 @@ func (l *guestLoop) markPass() {
 		markCap = 4 * l.cfg.MigrationBatch
 	}
 	marked := 0
-	scanBudget := l.cfg.ScanBatchPages
-	if scanBudget <= 0 {
-		scanBudget = int(gpt.Mapped())
-	}
 	var cost sim.Duration
-	visited, next := gpt.ScanFrom(l.markCursor, scanBudget, func(gvpn uint64, e *pagetable.Entry) bool {
+	visited, next := gpt.ScanFrom(l.markCursor, l.budget(gpt), func(gvpn uint64, e *pagetable.Entry) bool {
 		// Mark only saturated-score pages: sustained heat across several
 		// scans, not a lucky window. This is what keeps the promotion
 		// race dominated by genuinely hot pages instead of cold drifters
 		// whose A bit happened to be set. A deeper counter (Nomad's
 		// MaxScore 6) makes saturation slower to reach.
 		if kernel.NodeOfGPFN(mem.Frame(e.Value())) != 0 && !e.Hinted() &&
-			*gpt.Meta(gvpn)&scoreMask >= l.cfg.MaxScore {
+			*gpt.Meta(gvpn)&scoreMask >= l.maxScore {
 			e.MarkHint()
 			cost += vm.FlushSingle(gvpn) // PROT_NONE change
 			marked++

@@ -1,6 +1,8 @@
 package tmm
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 
 	"demeter/internal/hypervisor"
@@ -8,47 +10,24 @@ import (
 	"demeter/internal/sim"
 )
 
-// VTMMConfig tunes the vTMM model.
-type VTMMConfig struct {
-	// SortPeriod is the classification cadence: vTMM aggregates access
-	// information across rounds, then sorts page frequencies.
-	SortPeriod sim.Duration
-	// ScanBatchPages bounds the read-side EPT A-bit scan per round.
-	ScanBatchPages int
-	// DirtyResetBatch is how many EPT D bits are cleared per round to
-	// re-arm PML (each batch forces an invept, like A-bit harvesting).
-	DirtyResetBatch int
-	// MigrationBatch caps host migrations per round.
-	MigrationBatch int
-	// HotFraction is the share of FMEM refilled with the sort's top
+// VTMMConfig tunes the vTMM model. Its ScanPeriod is the classification
+// cadence: vTMM aggregates access information across rounds, then sorts
+// page frequencies.
+type VTMMConfig = ScanConfig
+
+// The fixed parts of the vTMM model.
+const (
+	// vtmmDirtyResetBatch is how many EPT D bits are cleared per round
+	// to re-arm PML (each batch forces an invept, like A-bit harvesting).
+	vtmmDirtyResetBatch = 4096
+	// vtmmHotFraction is the share of FMEM refilled with the sort's top
 	// pages each round.
-	HotFraction float64
-}
+	vtmmHotFraction = 0.5
+)
 
 // DefaultVTMMConfig mirrors vTMM's published cadence at full time scale.
 func DefaultVTMMConfig() VTMMConfig {
-	return VTMMConfig{
-		SortPeriod:      sim.Second,
-		ScanBatchPages:  28000,
-		DirtyResetBatch: 4096,
-		MigrationBatch:  4096,
-		HotFraction:     0.5,
-	}
-}
-
-// DefaultFallbackConfig tunes a VTMM instance for degraded-mode duty:
-// the delegation health monitor attaches it host-side when a guest agent
-// stops cooperating, so its cadence must follow the run's scaled periods
-// rather than the paper's full-scale defaults. The A-bit scan loop and
-// classification are unchanged — the fallback is deliberately the
-// hypervisor-only baseline the paper argues against, because it is the
-// only thing a host can run without trusting the guest.
-func DefaultFallbackConfig(sortPeriod sim.Duration, scanBatch, migrationBatch int) VTMMConfig {
-	cfg := DefaultVTMMConfig()
-	cfg.SortPeriod = sortPeriod
-	cfg.ScanBatchPages = scanBatch
-	cfg.MigrationBatch = migrationBatch
-	return cfg
+	return VTMMConfig{ScanPeriod: sim.Second, ScanBatchPages: 28000, MigrationBatch: 4096}
 }
 
 // VTMM models vTMM (EuroSys'23): hypervisor-based tiered memory
@@ -60,16 +39,11 @@ func DefaultFallbackConfig(sortPeriod sim.Duration, scanBatch, migrationBatch in
 // uncorrelated physical pages, and host-level migration flushes.
 type VTMM struct {
 	Cfg VTMMConfig
+	scanLoop
 
-	eng         *sim.Engine
-	vm          *hypervisor.VM
 	pml         *hypervisor.PML
-	counts      map[uint64]float64 // gpfn → access score
-	ticker      *sim.Ticker
-	cursor      uint64
+	counts      gpfnCounts // gpfn → access score
 	dirtyCursor uint64
-	active      bool
-	stats       ScanStats
 
 	// PMLExits mirrors the PML unit's exit count for reporting.
 	PMLExits uint64
@@ -81,40 +55,26 @@ func NewVTMM(cfg VTMMConfig) *VTMM { return &VTMM{Cfg: cfg} }
 // Name implements Policy.
 func (p *VTMM) Name() string { return "vtmm" }
 
-// Stats returns a copy of the counters.
-func (p *VTMM) Stats() ScanStats { return p.stats }
-
 // Attach implements Policy.
 func (p *VTMM) Attach(eng *sim.Engine, vm *hypervisor.VM) {
-	if p.active {
-		panic("tmm: vTMM attached twice")
-	}
-	p.eng, p.vm, p.active = eng, vm, true
-	p.counts = make(map[uint64]float64)
+	p.start(eng, vm, "vTMM", &p.Cfg, p.round)
+	p.counts = gpfnCounts{}
 	p.pml = hypervisor.NewPML()
 	p.pml.OnFull = func(gpfns []uint64) {
 		// Drain on the exit path: each logged write bumps its page.
 		vm.ChargeHost(CompTrack, sim.Duration(len(gpfns))*vm.Machine.Cost.SampleHandleCost)
 		for _, g := range gpfns {
-			p.counts[g]++
+			p.counts.add(g)
 		}
 	}
 	vm.EnablePML(p.pml)
-	p.ticker = eng.StartTicker(p.Cfg.SortPeriod, func(sim.Time) {
-		if p.active {
-			p.round()
-		}
-	})
 }
 
 // Detach implements Policy.
 func (p *VTMM) Detach() {
-	if !p.active {
-		return
+	if p.stop() {
+		p.vm.DisablePML()
 	}
-	p.active = false
-	p.ticker.Stop()
-	p.vm.DisablePML()
 }
 
 func (p *VTMM) round() {
@@ -123,27 +83,18 @@ func (p *VTMM) round() {
 	fastHost := vm.Machine.Topo.FastNode()
 	slowHost := vm.Machine.Topo.SlowNode()
 
-	// Read-side tracking: EPT A-bit scan (like H-TPP, full flush per
-	// round because there is no gVA to invalidate with).
-	cleared := 0
-	visited, next := vm.EPT.ScanFrom(p.cursor, p.Cfg.ScanBatchPages, func(gpfn uint64, e *pagetable.Entry) bool {
-		if e.Accessed() {
-			e.ClearAccessed()
-			p.counts[gpfn]++
-			cleared++
+	// Read-side tracking: EPT A-bit harvest (like H-TPP, but one full
+	// flush per round because there is no gVA to invalidate with).
+	visited, flushCost, _ := p.harvest(math.MaxInt, func(gpfn uint64, _ *pagetable.Entry, accessed bool) {
+		if accessed {
+			p.counts.add(gpfn)
 		}
-		return true
 	})
-	p.cursor = next
-	var flushCost sim.Duration
-	if cleared > 0 {
-		flushCost += vm.FlushFull()
-	}
 
 	// Write-side re-arm: clear a batch of D bits so PML keeps logging;
 	// EPT modification again requires invept.
 	dirtyCleared := 0
-	_, p.dirtyCursor = vm.EPT.ScanFrom(p.dirtyCursor, p.Cfg.DirtyResetBatch, func(gpfn uint64, e *pagetable.Entry) bool {
+	_, p.dirtyCursor = vm.EPT.ScanFrom(p.dirtyCursor, vtmmDirtyResetBatch, func(gpfn uint64, e *pagetable.Entry) bool {
 		if e.Dirty() {
 			e.ClearDirty()
 			dirtyCleared++
@@ -153,12 +104,9 @@ func (p *VTMM) round() {
 	if dirtyCleared > 0 {
 		flushCost += vm.FlushFull()
 	}
-	p.stats.Rounds++
-	p.stats.PTEsVisited += uint64(visited)
-	p.stats.HotObserved += uint64(cleared)
 	p.PMLExits = p.pml.Stats().Exits
 
-	scanCost := sim.Duration(visited+p.Cfg.DirtyResetBatch) * cm.ScanPTECost
+	scanCost := sim.Duration(visited+vtmmDirtyResetBatch) * cm.ScanPTECost
 	vm.ChargeHost(CompTrack, scanCost+flushCost)
 
 	// Classification: sort all tracked pages by score (vTMM's frequency
@@ -167,37 +115,23 @@ func (p *VTMM) round() {
 		gpfn  uint64
 		score float64
 	}
-	pages := make([]pageScore, 0, len(p.counts))
-	for g, c := range p.counts {
-		pages = append(pages, pageScore{g, c})
-		p.counts[g] = c / 2 // decay
-		if p.counts[g] < 0.25 {
-			delete(p.counts, g)
-		}
-	}
+	pages := make([]pageScore, 0, p.counts.n)
+	p.counts.sweep(true, func(g uint64, c float64) { pages = append(pages, pageScore{g, c}) })
 	sort.Slice(pages, func(i, j int) bool {
 		if pages[i].score != pages[j].score {
 			return pages[i].score > pages[j].score
 		}
 		return pages[i].gpfn < pages[j].gpfn
 	})
-	n := len(pages)
 	sortCost := sim.Duration(0)
-	if n > 1 {
-		logN := 0
-		for v := n; v > 1; v >>= 1 {
-			logN++
-		}
-		sortCost = sim.Duration(n*logN) * cm.PTEOpCost
+	if n := len(pages); n > 1 {
+		sortCost = sim.Duration(n*(bits.Len(uint(n))-1)) * cm.PTEOpCost
 	}
 	vm.ChargeHost(CompClassify, sortCost)
 
 	// Migration: fill a slice of FMEM with the sort's top pages.
 	var migrateCost sim.Duration
-	budget := int(float64(fastHost.Frames()) * p.Cfg.HotFraction)
-	if budget > p.Cfg.MigrationBatch {
-		budget = p.Cfg.MigrationBatch
-	}
+	budget := min(int(float64(fastHost.Frames())*vtmmHotFraction), p.Cfg.MigrationBatch)
 	moved := 0
 	for _, ps := range pages {
 		if moved >= budget {
