@@ -3,7 +3,6 @@ package hypervisor
 import (
 	"demeter/internal/guestos"
 	"demeter/internal/mem"
-	"demeter/internal/pagetable"
 	"demeter/internal/sim"
 	"demeter/internal/workload"
 )
@@ -12,9 +11,13 @@ import (
 //
 // AccessBatch is the stage-split twin of Access: it consumes a whole
 // workload batch in one call so per-access dispatch overhead (callback,
-// re-loaded VM fields, per-sample PEBS calls) amortizes across the batch,
-// and so the independent page-table loads of upcoming misses can be issued ahead
-// of time where the scalar path serializes them behind each access.
+// re-loaded VM fields, per-sample PEBS calls) amortizes across the batch.
+// It has no prefetch stage. An earlier version warmed the TLB tag lines
+// and both page tables 512 accesses ahead. Once a TLB set became one
+// packed cache line, the stage stopped paying: in 4 alternating perfbench
+// pairs per workload (10 s runs, 2-vCPU Xeon, GOMAXPROCS 2), dropping it
+// won 3 of 4 on gups-demeter and 4 of 4 on gups-tpp and silo-memtis, with
+// median pair gains of 10%, 12% and 13%.
 //
 // The contract is strict equivalence with the scalar path: identical
 // vm.stats, TLB stats, PEBS sample streams, fault-stream consumption
@@ -48,56 +51,13 @@ import (
 // runs simply flush mid-run with no observable difference.
 const batchRunCap = 256
 
-// prefetchWindow is how far AccessBatch looks ahead warming translation
-// structures before consuming that window for real. Each prefetched
-// access touches a handful of cache lines (TLB tag lines, GPT block,
-// EPT block), so a 512-access window warms at most a few hundred KiB —
-// inside L2 — while giving the memory system a deep pool of independent
-// loads to overlap where the scalar path chains them one dependent walk
-// at a time. Sweeping 64/128/256/512/1024 under the interleaved probe
-// put 512 at the plateau's start.
-const prefetchWindow = 512
-
-// batchState is the VM-owned scratch for one in-flight hit run and the
-// prefetch stage. Fixed arrays, not slices: the zero-alloc guarantee
-// must hold for any batch length.
+// batchState is the VM-owned scratch for one in-flight hit run. Fixed
+// arrays, not slices: the zero-alloc guarantee must hold for any batch
+// length.
 type batchState struct {
 	gvpn   [batchRunCap]uint64
 	hpfn   [batchRunCap]uint64
-	keys   [prefetchWindow]uint64 // gVPNs of the current prefetch window
-	pf     [prefetchWindow]uint64 // gPFNs collected by the GPT prefetch pass
-	writes uint64                 // write count of the pending run (hits never mark dirty)
-	sink   uint64                 // checksum keeping the TLB warming loads alive
-}
-
-// prefetch warms the translation path for accs without observable side
-// effects: GPT and EPT lookups whose block-cache fills are pure
-// accelerators. The pass is deliberately branch-light — no TLB-probe
-// filter, whose unpredictable outcome would flush the pipeline on every
-// mispredict and serialize exactly the loads this pass exists to
-// overlap — and staged so each loop carries only a short dependent
-// chain per key: extract every gVPN, resolve every GPT entry in one
-// LookupValues call, compact the mapped gPFNs, resolve every EPT entry
-// in a second LookupValues call. The later authoritative pass re-does
-// these lookups for real and finds the lines hot.
-//
-//demeter:hotpath
-func (vm *VM) prefetch(accs []workload.Access) {
-	b := &vm.batch
-	n := len(accs)
-	for i := range accs {
-		b.keys[i] = accs[i].GVA >> guestos.PageShift
-	}
-	b.sink += vm.TLB.WarmTags(b.keys[:n])
-	vm.Proc.GPT.LookupValues(b.keys[:n], b.pf[:n])
-	k := 0
-	for i := 0; i < n; i++ {
-		if v := b.pf[i]; v != pagetable.NotMapped {
-			b.pf[k] = v
-			k++
-		}
-	}
-	vm.EPT.LookupValues(b.pf[:k], b.pf[:k])
+	writes uint64 // write count of the pending run (hits never mark dirty)
 }
 
 // AccessBatch executes a batch of guest accesses and returns the summed
@@ -108,38 +68,30 @@ func (vm *VM) prefetch(accs []workload.Access) {
 func (vm *VM) AccessBatch(buf []workload.Access) sim.Duration {
 	var total sim.Duration
 	n := 0 // pending hit-run length
-	for w := 0; w < len(buf); w += prefetchWindow {
-		end := w + prefetchWindow
-		if end > len(buf) {
-			end = len(buf)
-		}
-		vm.prefetch(buf[w:end])
-		for i := w; i < end; i++ {
-			gva, write := buf[i].GVA, buf[i].Write
-			gvpn := gva >> guestos.PageShift
-			if hpfn, ok := vm.TLB.Lookup(gvpn); ok {
-				if n == batchRunCap {
-					total += vm.flushHitRun(n)
-					n = 0
-				}
-				vm.batch.gvpn[n] = gvpn
-				vm.batch.hpfn[n] = hpfn
-				if write {
-					vm.batch.writes++
-				}
-				n++
-				continue
-			}
-			if n > 0 {
+	for _, a := range buf {
+		gvpn := a.GVA >> guestos.PageShift
+		if hpfn, ok := vm.TLB.Lookup(gvpn); ok {
+			if n == batchRunCap {
 				total += vm.flushHitRun(n)
 				n = 0
 			}
-			vm.stats.Accesses++
-			if write {
-				vm.stats.Writes++
+			vm.batch.gvpn[n] = gvpn
+			vm.batch.hpfn[n] = hpfn
+			if a.Write {
+				vm.batch.writes++
 			}
-			total += vm.accessMiss(gva, gvpn, write)
+			n++
+			continue
 		}
+		if n > 0 {
+			total += vm.flushHitRun(n)
+			n = 0
+		}
+		vm.stats.Accesses++
+		if a.Write {
+			vm.stats.Writes++
+		}
+		total += vm.accessMiss(a.GVA, gvpn, a.Write)
 	}
 	if n > 0 {
 		total += vm.flushHitRun(n)

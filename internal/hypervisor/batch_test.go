@@ -57,8 +57,8 @@ func diffWorkloads() map[string]func() workload.Workload {
 }
 
 // chunkSizes cycles AccessBatch through awkward sub-batch lengths so the
-// differential run exercises run-buffer flushes (batchRunCap), prefetch
-// window remainders, and single-access batches. Equivalence must hold
+// differential run exercises run-buffer flushes (batchRunCap), batch
+// remainders, and single-access batches. Equivalence must hold
 // for any partition of the stream.
 var chunkSizes = []int{1, 3, 8, 61, 127, 256, 509, 2048}
 
@@ -164,7 +164,8 @@ func TestAccessBatchEquivalence(t *testing.T) {
 		// Slow-tier spike injector armed: the batch path must consume the
 		// per-point fault stream in exactly the scalar order.
 		{"fault-spikes", aggressivePEBS(), 99, true},
-		// Adaptive period: RecordBatch must fall back to the scalar loop.
+		// Adaptive period: RecordBatch's bulk countdown must stop at every
+		// adaptation-window boundary exactly where the scalar loop adapts.
 		{"pebs-adaptive", func() pebs.Config {
 			c := aggressivePEBS()
 			c.AdaptivePeriod = true

@@ -220,33 +220,10 @@ func (t *Table) Lookup(key uint64) *Entry {
 	return e
 }
 
-// NotMapped is the sentinel LookupValues writes for keys without a
-// present entry.
+// NotMapped is the "no translation" sentinel for callers that resolve
+// page numbers in bulk: all-ones is neither a 60-bit entry value nor a
+// guest page number.
 const NotMapped = ^uint64(0)
-
-// LookupValues resolves a whole batch of keys at once, writing each
-// key's mapped value — or NotMapped — to the same index of out. It is
-// the batched access path's prefetch primitive: one call amortizes the
-// per-lookup function-call overhead across the batch, and the loop body
-// carries only a two-load dependent chain per key (cache slot, entry)
-// with no cross-iteration dependence, so the memory system overlaps the
-// entry fetches that a pointwise Lookup sequence would serialize.
-// Aliasing keys and out is allowed (out[i] is written after keys[i] is
-// read). len(out) must be at least len(keys).
-//
-//demeter:hotpath
-func (t *Table) LookupValues(keys, out []uint64) {
-	out = out[:len(keys)]
-	for i, key := range keys {
-		v := NotMapped
-		if b := t.blockFor(key >> blockShift); b != nil {
-			if e := &b.entries[key&blockMask]; e.bits&flagPresent != 0 {
-				v = e.bits & valueMask
-			}
-		}
-		out[i] = v
-	}
-}
 
 // Map installs key→value. Mapping an already-present key panics: the
 // simulated kernels always unmap before remapping, and silent overwrite

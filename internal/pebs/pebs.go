@@ -274,6 +274,13 @@ func (u *Unit) Record(gvpn uint64, latency sim.Duration, fastTier bool) {
 		u.stats.Dropped++
 		return
 	}
+	u.store(gvpn, latency)
+}
+
+// store writes one sample at a period boundary.
+//
+//demeter:hotpath
+func (u *Unit) store(gvpn uint64, latency sim.Duration) {
 	if len(u.buffer) >= u.cfg.BufferEntries {
 		// Overshoot: PMI if a handler is installed, else the record is
 		// lost. Either way the hardware signals the overflow.
@@ -292,19 +299,18 @@ func (u *Unit) Record(gvpn uint64, latency sim.Duration, fastTier bool) {
 // access in gvpns was served at the same latency from the same tier, in
 // stream order. It is the batched access path's replacement for per-sample
 // Record calls: the filter checks (armed, threshold, event media) are paid
-// once per run instead of once per access, and the period countdown skips
-// straight to each sampling access instead of decrementing through the
-// non-sampling ones.
+// once per run instead of once per access, and the countdown skips
+// straight to the next access where something happens — a sampling
+// access, or under AdaptivePeriod an adaptation-window boundary — and runs
+// the scalar per-access logic there.
 //
 // The contract is bit-exactness with the equivalent scalar loop
 //
 //	for _, g := range gvpns { u.Record(g, latency, fastTier) }
 //
-// for every counter, sample, PMI and drop. The bulk skip below is only
-// taken when nothing per-access is observable: a fault injector draws the
-// PMI-storm stream per qualifying access and the adaptive-period window
-// advances per qualifying event, so either feature routes through the
-// scalar loop unchanged.
+// for every counter, sample, PMI, drop and period adaptation. An attached
+// fault injector draws the PMI-storm stream per qualifying access, so it
+// routes through the scalar loop unchanged.
 //
 //demeter:hotpath
 func (u *Unit) RecordBatch(gvpns []uint64, latency sim.Duration, fastTier bool) {
@@ -317,36 +323,38 @@ func (u *Unit) RecordBatch(gvpns []uint64, latency sim.Duration, fastTier bool) 
 	if u.cfg.Event == EventL3Miss && fastTier {
 		return
 	}
-	if u.Fault != nil || u.cfg.AdaptivePeriod {
+	if u.Fault != nil {
 		for _, g := range gvpns {
 			u.Record(g, latency, fastTier)
 		}
 		return
 	}
 	u.stats.Qualifying += uint64(len(gvpns))
-	i := 0
-	for {
-		if left := uint64(len(gvpns) - i); u.counter > left {
+	adaptive := u.cfg.AdaptivePeriod
+	for i := 0; ; i++ {
+		// The step-th access from i (inclusive) is the next one where the
+		// countdown reaches zero or the adaptation window closes.
+		step := u.counter
+		if w := u.cfg.AdaptWindow - u.winEvents; adaptive && w < step {
+			step = w
+		}
+		if left := uint64(len(gvpns) - i); step > left {
 			u.counter -= left
+			if adaptive {
+				u.winEvents += left
+			}
 			return
 		}
-		// The u.counter-th access from here (inclusive) is the sampling one.
-		i += int(u.counter) - 1
-		u.counter = u.period
-		if len(u.buffer) >= u.cfg.BufferEntries {
-			// Overshoot: PMI if a handler is installed, else the record is
-			// lost. Either way the hardware signals the overflow.
-			u.pmi()
-			if len(u.buffer) >= u.cfg.BufferEntries {
-				u.stats.Dropped++
-				i++
-				continue
-			}
+		i += int(step) - 1
+		u.counter -= step - 1
+		if adaptive {
+			u.winEvents += step - 1
+			u.tickWindow()
 		}
-		//lint:allow hotpath buffer capacity is preallocated to BufferEntries at construction and Drain, and the overshoot check above bounds len
-		u.buffer = append(u.buffer, Sample{GVPN: gvpns[i], Latency: latency})
-		u.stats.Samples++
-		i++
+		if u.counter--; u.counter == 0 {
+			u.counter = u.period
+			u.store(gvpns[i], latency)
+		}
 	}
 }
 

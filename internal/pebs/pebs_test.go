@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"demeter/internal/sim"
+	"demeter/internal/simrand"
 )
 
 func mustUnit(t *testing.T, cfg Config) *Unit {
@@ -236,10 +237,16 @@ func TestEventString(t *testing.T) {
 // recordBatchEquivalent drives two identical units through the same access
 // stream — one via scalar Record, one via RecordBatch over the given run
 // lengths — and fails on the first divergence in stats or sample streams.
-func recordBatchEquivalent(t *testing.T, cfg Config, runs [][3]uint64, drainEvery int) {
+// Samples are drained every drainEvery runs (0: only at the end) and, with
+// drainOnPMI, by an OnPMI handler. It returns the scalar unit's stats.
+func recordBatchEquivalent(t *testing.T, cfg Config, runs [][3]uint64, drainEvery int, drainOnPMI bool) Stats {
 	t.Helper()
 	scalar, batched := armedUnit(t, cfg), armedUnit(t, cfg)
 	var scalarSamples, batchedSamples []Sample
+	if drainOnPMI {
+		scalar.OnPMI = func() { scalarSamples = append(scalarSamples, scalar.Drain()...) }
+		batched.OnPMI = func() { batchedSamples = append(batchedSamples, batched.Drain()...) }
+	}
 	drain := func() {
 		scalarSamples = append(scalarSamples, scalar.Drain()...)
 		batchedSamples = append(batchedSamples, batched.Drain()...)
@@ -262,6 +269,9 @@ func recordBatchEquivalent(t *testing.T, cfg Config, runs [][3]uint64, drainEver
 		if s, b := scalar.Stats(), batched.Stats(); s != b {
 			t.Fatalf("run %d: stats diverge: scalar %+v, batched %+v", ri, s, b)
 		}
+		if s, b := scalar.CurrentPeriod(), batched.CurrentPeriod(); s != b {
+			t.Fatalf("run %d: period diverges: scalar %d, batched %d", ri, s, b)
+		}
 	}
 	drain()
 	if len(scalarSamples) != len(batchedSamples) {
@@ -272,6 +282,19 @@ func recordBatchEquivalent(t *testing.T, cfg Config, runs [][3]uint64, drainEver
 			t.Fatalf("sample %d diverges: scalar %+v, batched %+v", i, scalarSamples[i], batchedSamples[i])
 		}
 	}
+	return scalar.Stats()
+}
+
+// seededRuns returns n runs of 1..maxLen accesses each, mixing latencies
+// above and below the 64 ns threshold and both tiers.
+func seededRuns(seed uint64, n int, maxLen uint64) [][3]uint64 {
+	src := simrand.New(seed)
+	lats := []uint64{10, 64, 90, 200}
+	runs := make([][3]uint64, n)
+	for i := range runs {
+		runs[i] = [3]uint64{1 + src.Uint64n(maxLen), lats[src.Intn(len(lats))], src.Uint64n(2)}
+	}
+	return runs
 }
 
 // TestRecordBatchEquivalence pins the RecordBatch contract across period
@@ -284,10 +307,10 @@ func TestRecordBatchEquivalence(t *testing.T) {
 		{40, 200, 1}, {5, 64, 0}, {1, 63, 1}, {100, 90, 0}, {6, 200, 0},
 	}
 	t.Run("drops-without-handler", func(t *testing.T) {
-		recordBatchEquivalent(t, base, runs, 0)
+		recordBatchEquivalent(t, base, runs, 0, false)
 	})
 	t.Run("drained-between-runs", func(t *testing.T) {
-		recordBatchEquivalent(t, base, runs, 2)
+		recordBatchEquivalent(t, base, runs, 2, false)
 	})
 	t.Run("pmi-handler-drains", func(t *testing.T) {
 		scalar, batched := armedUnit(t, base), armedUnit(t, base)
@@ -306,12 +329,28 @@ func TestRecordBatchEquivalence(t *testing.T) {
 	t.Run("l3miss-filters-fast-runs", func(t *testing.T) {
 		cfg := base
 		cfg.Event = EventL3Miss
-		recordBatchEquivalent(t, cfg, runs, 0)
+		recordBatchEquivalent(t, cfg, runs, 0, false)
 	})
-	t.Run("adaptive-falls-back-to-scalar", func(t *testing.T) {
+	// The bulk countdown also steps over adaptation-window boundaries: the
+	// seeded mixes must both widen and narrow the period, or the case
+	// proves nothing about them.
+	t.Run("adaptive-bulk-countdown", func(t *testing.T) {
 		cfg := base
+		cfg.SamplePeriod = 3
 		cfg.AdaptivePeriod = true
-		recordBatchEquivalent(t, cfg, runs, 0)
+		cfg.AdaptWindow = 20
+		cfg.StormPMIs = 2
+		cfg.CalmWindows = 1
+		cfg.MaxPeriodShift = 2
+		for _, seed := range []uint64{1, 2, 3} {
+			for _, drainOnPMI := range []bool{false, true} {
+				runs := seededRuns(seed, 400, 3*cfg.AdaptWindow)
+				s := recordBatchEquivalent(t, cfg, runs, 3, drainOnPMI)
+				if s.Widenings == 0 || s.Narrowings == 0 {
+					t.Errorf("seed %d, drainOnPMI %v: %d widenings, %d narrowings; want both", seed, drainOnPMI, s.Widenings, s.Narrowings)
+				}
+			}
+		}
 	})
 	t.Run("disarmed-does-nothing", func(t *testing.T) {
 		u := mustUnit(t, base)

@@ -11,25 +11,38 @@
 // The performance coupling is causal in the model: a flushed entry forces
 // the next access to that page through a full 2D page-table walk, so flush
 // counts translate into slowdown exactly as in §2.3.1.
+//
+// Every guest access is priced through Lookup, so the layout is built for
+// it. Each way is one packed word, tag above host frame, and the ways of a
+// set fill exactly one 64-byte cache line. The range invariant that makes
+// packing safe: Insert accepts only gvpns below MaxGVPN (a 47-bit guest
+// virtual address space, the x86-64 user half) and host frames up to
+// MaxHPFN (40 bits), and panics on anything else. Lookup of a gvpn outside
+// the range always misses.
 package tlb
 
 import "fmt"
 
-// Entry identity: one cached translation, split structure-of-arrays style
-// into a tag (keys) and a value (vals) plane. A tag is gvpn+1 so the zero
-// value is invalid without a separate flag byte (a guest page number is an
-// address shifted right by the page bits, so +1 cannot overflow). The SoA
-// split matters to the batched access path: a probe scans only the tag
-// plane, so an 8-way set costs one cache line instead of two, and the
-// value plane is touched only on a hit.
+// Geometry: 16384 entries, 8-way. A hardware STLB has ~2K entries, but
+// guests back large regions with 2 MiB huge pages; the widened reach
+// stands in for THP coverage at the simulator's 4 KiB granularity.
+const (
+	setBits = 11
+	sets    = 1 << setBits
+	setMask = sets - 1
+	ways    = 8 // 8 words × 8 bytes = one 64-byte line per set
 
-// frontSlots sizes the direct-mapped front cache (a power of two). The
-// front cache is a pure lookup accelerator: every valid front entry
-// mirrors a valid entry in the set-associative array, so its presence
-// never changes hit/miss accounting — only how fast a hit is found. It is
-// deliberately tiny: at 256 slots × 16 bytes across the two planes it
-// stays L1-resident, so the extra probe on a front miss is nearly free.
-const frontSlots = 256
+	hpfnBits = 40
+	// MaxHPFN is the largest host frame number a way can hold.
+	MaxHPFN = 1<<hpfnBits - 1
+	// MaxGVPN bounds the guest page numbers Insert accepts (exclusive):
+	// the tag (gvpn>>setBits)+1 must fit the 24 bits above the frame.
+	MaxGVPN = (1<<(64-hpfnBits) - 1) << setBits
+)
+
+// tagOf returns gvpn's packed tag. The +1 keeps every valid tag nonzero,
+// so a zero word is an empty way without a separate valid bit.
+func tagOf(gvpn uint64) uint64 { return (gvpn>>setBits + 1) << hpfnBits }
 
 // Stats holds instruction and traffic counters. Single/Full count flush
 // *instructions issued* (the unit of Table 1), independent of whether a
@@ -52,222 +65,125 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// TLB is a set-associative translation cache. Not safe for concurrent use;
-// the simulation is single-threaded.
-//
-// Entries live in two flat parallel planes (set i occupies index range
-// [i*assoc, (i+1)*assoc) of both keys and vals) rather than a slice of
-// per-set structs, and a small direct-mapped front cache — itself split
-// into parallel planes — short-circuits repeated hits to the same page
-// without touching the counted hit/miss events.
+// TLB is a set-associative translation cache with round-robin replacement
+// (deterministic and close enough to LRU for miss-rate shaping). Not safe
+// for concurrent use; the simulation is single-threaded.
 type TLB struct {
-	keys      []uint64 // tag plane: gvpn+1; 0 = invalid
-	vals      []uint64 // value plane: hpfn, parallel to keys
-	assoc     int
-	setMask   uint64
-	next      []uint8 // per-set round-robin replacement cursor (assoc ≤ 255)
-	frontKeys [frontSlots]uint64
-	frontVals [frontSlots]uint64
-	stats     Stats
+	sets  [sets][ways]uint64 // tag<<hpfnBits | hpfn; 0 = empty way
+	next  [sets]uint8        // per-set round-robin replacement cursor
+	stats Stats              // Lookups is derived as Hits+Misses
 }
 
-// New returns a TLB with the given total entry count and associativity.
-// entries must be a multiple of ways and entries/ways a power of two; a
-// bad geometry is a caller configuration error and returns an error.
-func New(entries, ways int) (*TLB, error) {
-	if entries <= 0 || ways <= 0 || ways > 255 || entries%ways != 0 {
-		return nil, fmt.Errorf("tlb: bad geometry %d entries / %d ways", entries, ways)
-	}
-	nsets := entries / ways
-	if nsets&(nsets-1) != 0 {
-		return nil, fmt.Errorf("tlb: set count %d not a power of two", nsets)
-	}
-	return &TLB{
-		keys:    make([]uint64, entries),
-		vals:    make([]uint64, entries),
-		assoc:   ways,
-		setMask: uint64(nsets - 1),
-		next:    make([]uint8, nsets),
-	}, nil
-}
-
-// NewDefault returns a TLB with the default geometry: 16384 entries,
-// 8-way. A hardware STLB has ~2K entries, but guests back large regions
-// with 2 MiB huge pages; the widened reach stands in for THP coverage at
-// the simulator's 4 KiB granularity. The geometry is a known-good
-// constant, so failure here would be an internal invariant violation.
-func NewDefault() *TLB {
-	t, err := New(16384, 8)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
+// NewDefault returns an empty TLB.
+func NewDefault() *TLB { return &TLB{} }
 
 // Stats returns a copy of the counters.
-func (t *TLB) Stats() Stats { return t.stats }
+func (t *TLB) Stats() Stats {
+	s := t.stats
+	s.Lookups = s.Hits + s.Misses
+	return s
+}
 
 // ResetStats zeroes the counters without touching cached entries.
 func (t *TLB) ResetStats() { t.stats = Stats{} }
 
-// Lookup returns the cached host frame for gvpn. A hit refreshes nothing
-// (replacement is round-robin, not LRU: deterministic and close enough for
-// miss-rate shaping).
+// Lookup returns the cached host frame for gvpn. A hit refreshes nothing.
+// Tags are unique within a set, so the scan keeps the one matching word
+// without branching on which way holds it.
 //
 //demeter:hotpath
 func (t *TLB) Lookup(gvpn uint64) (hpfn uint64, ok bool) {
-	t.stats.Lookups++
-	key := gvpn + 1
-	fi := gvpn & (frontSlots - 1)
-	if t.frontKeys[fi] == key {
-		t.stats.Hits++
-		return t.frontVals[fi], true
-	}
-	base := int(gvpn&t.setMask) * t.assoc
-	keys := t.keys[base : base+t.assoc]
-	for i := range keys {
-		if keys[i] == key {
-			t.stats.Hits++
-			v := t.vals[base+i]
-			t.frontKeys[fi] = key
-			t.frontVals[fi] = v
-			return v, true
+	var hit uint64
+	if gvpn < MaxGVPN {
+		tag := tagOf(gvpn)
+		for _, w := range &t.sets[gvpn&setMask] {
+			if w&^MaxHPFN == tag {
+				hit = w
+			}
 		}
 	}
-	t.stats.Misses++
-	return 0, false
-}
-
-// Probe reports whether gvpn is cached without counting a lookup and
-// without refreshing the front cache. It exists for the batched access
-// path's prefetch stage, which peeks ahead at upcoming accesses to decide
-// which page-table lines to warm: the peek must leave every counted
-// statistic and every replacement decision exactly as the later real
-// Lookup will find them.
-//
-//demeter:hotpath
-func (t *TLB) Probe(gvpn uint64) bool {
-	key := gvpn + 1
-	if t.frontKeys[gvpn&(frontSlots-1)] == key {
-		return true
+	if hit == 0 {
+		t.stats.Misses++
+		return 0, false
 	}
-	base := int(gvpn&t.setMask) * t.assoc
-	keys := t.keys[base : base+t.assoc]
-	for i := range keys {
-		if keys[i] == key {
-			return true
-		}
-	}
-	return false
-}
-
-// WarmTags touches the front-cache tag slot and the set's tag line for
-// every gvpn and returns a checksum of the words read. Like Probe it is
-// a pure lookup accelerator for the batched access path's prefetch
-// stage: no counter moves, no entry changes, and the checksum exists
-// only so the compiler cannot discard the loads. Unlike Probe it is
-// branchless — each gvpn costs two independent loads regardless of
-// whether it hits, so a window's worth of warming issues as one
-// overlapped burst instead of a chain of mispredicted compares.
-//
-//demeter:hotpath
-func (t *TLB) WarmTags(gvpns []uint64) uint64 {
-	var sum uint64
-	for _, g := range gvpns {
-		sum += t.frontKeys[g&(frontSlots-1)]
-		sum += t.keys[int(g&t.setMask)*t.assoc]
-	}
-	return sum
-}
-
-// frontDrop removes key's front-cache mirror, if present.
-//
-//demeter:hotpath
-func (t *TLB) frontDrop(key uint64) {
-	if fi := (key - 1) & (frontSlots - 1); t.frontKeys[fi] == key {
-		t.frontKeys[fi] = 0
-		t.frontVals[fi] = 0
-	}
+	t.stats.Hits++
+	return hit & MaxHPFN, true
 }
 
 // Insert caches gvpn→hpfn after a walk, evicting round-robin within the
-// set when full. Inserting an existing gvpn updates it in place.
+// set when full. Inserting an existing gvpn updates it in place. A gvpn
+// or hpfn outside the packed range panics.
 //
 //demeter:hotpath
 func (t *TLB) Insert(gvpn, hpfn uint64) {
-	key := gvpn + 1
-	si := gvpn & t.setMask
-	base := int(si) * t.assoc
-	keys := t.keys[base : base+t.assoc]
+	if gvpn >= MaxGVPN || hpfn > MaxHPFN {
+		outOfRange(gvpn, hpfn)
+	}
+	tag := tagOf(gvpn)
+	si := gvpn & setMask
+	set := &t.sets[si]
 	free := -1
-	for i := range keys {
-		if keys[i] == key {
-			t.vals[base+i] = hpfn
-			if fi := gvpn & (frontSlots - 1); t.frontKeys[fi] == key {
-				t.frontVals[fi] = hpfn
-			}
+	for i, w := range set {
+		if w&^MaxHPFN == tag {
+			set[i] = tag | hpfn
 			return
 		}
-		if keys[i] == 0 && free < 0 {
+		if w == 0 && free < 0 {
 			free = i
 		}
 	}
+	t.stats.Fills++
 	if free >= 0 {
-		keys[free] = key
-		t.vals[base+free] = hpfn
-		t.stats.Fills++
+		set[free] = tag | hpfn
 		return
 	}
-	v := int(t.next[si])
-	if v+1 == t.assoc {
-		t.next[si] = 0
-	} else {
-		t.next[si] = uint8(v + 1)
-	}
-	t.frontDrop(keys[v])
-	keys[v] = key
-	t.vals[base+v] = hpfn
+	v := t.next[si]
+	t.next[si] = (v + 1) % ways
+	set[v] = tag | hpfn
 	t.stats.Evictions++
-	t.stats.Fills++
+}
+
+// outOfRange reports an Insert that breaks the packing invariant.
+//
+//demeter:coldpath
+func outOfRange(gvpn, hpfn uint64) {
+	panic(fmt.Sprintf("tlb: translation %#x → %#x outside the packed range (gvpn < %#x, hpfn ≤ %#x)",
+		gvpn, hpfn, uint64(MaxGVPN), uint64(MaxHPFN)))
 }
 
 // FlushSingle issues one single-address invalidation for gvpn.
 func (t *TLB) FlushSingle(gvpn uint64) {
 	t.stats.SingleFlushes++
-	key := gvpn + 1
-	t.frontDrop(key)
-	base := int(gvpn&t.setMask) * t.assoc
-	keys := t.keys[base : base+t.assoc]
-	for i := range keys {
-		if keys[i] == key {
-			keys[i] = 0
-			t.vals[base+i] = 0
+	if gvpn >= MaxGVPN {
+		return
+	}
+	tag := tagOf(gvpn)
+	set := &t.sets[gvpn&setMask]
+	for i, w := range set {
+		if w&^MaxHPFN == tag {
+			set[i] = 0
 			return
 		}
 	}
 }
 
-// FlushAll issues a full invalidation (invept), destroying all entries.
-// Every plane resets: both set-associative planes, both front-cache
-// planes, and the per-set round-robin cursors. A flush empties every set,
-// so any state surviving it — a stale front tag that could fabricate a
-// hit, or a replacement cursor making post-flush eviction victims depend
-// on pre-flush history — would break determinism or correctness.
+// FlushAll issues a full invalidation (invept), destroying all entries and
+// resetting the per-set round-robin cursors, so post-flush eviction
+// victims cannot depend on pre-flush history.
 func (t *TLB) FlushAll() {
 	t.stats.FullFlushes++
-	clear(t.keys)
-	clear(t.vals)
-	clear(t.frontKeys[:])
-	clear(t.frontVals[:])
-	clear(t.next)
+	clear(t.sets[:])
+	clear(t.next[:])
 }
 
-// Scan visits every valid entry (audit/diagnostic use); returning false
-// from fn stops the walk.
+// Scan visits every valid entry in set, then way, order (audit/diagnostic
+// use); returning false from fn stops the walk.
 func (t *TLB) Scan(fn func(gvpn, hpfn uint64) bool) {
-	for i := range t.keys {
-		if t.keys[i] != 0 && !fn(t.keys[i]-1, t.vals[i]) {
-			return
+	for si := range t.sets {
+		for _, w := range &t.sets[si] {
+			if w != 0 && !fn((w>>hpfnBits-1)<<setBits|uint64(si), w&MaxHPFN) {
+				return
+			}
 		}
 	}
 }
@@ -275,10 +191,6 @@ func (t *TLB) Scan(fn func(gvpn, hpfn uint64) bool) {
 // Occupied returns the number of valid entries (test/diagnostic use).
 func (t *TLB) Occupied() int {
 	n := 0
-	for i := range t.keys {
-		if t.keys[i] != 0 {
-			n++
-		}
-	}
+	t.Scan(func(uint64, uint64) bool { n++; return true })
 	return n
 }

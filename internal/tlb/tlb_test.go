@@ -7,17 +7,12 @@ import (
 	"demeter/internal/simrand"
 )
 
-func mustNew(t *testing.T, entries, ways int) *TLB {
-	t.Helper()
-	tl, err := New(entries, ways)
-	if err != nil {
-		t.Fatalf("New(%d,%d): %v", entries, ways, err)
-	}
-	return tl
-}
+// sameSet returns the i-th gvpn of a run that all map to base's set: gvpns
+// that differ by a multiple of the set count share a set.
+func sameSet(base uint64, i int) uint64 { return base + uint64(i)*sets }
 
 func TestMissThenHit(t *testing.T) {
-	tl := mustNew(t, 16, 4)
+	tl := NewDefault()
 	if _, ok := tl.Lookup(100); ok {
 		t.Fatal("hit on empty TLB")
 	}
@@ -33,7 +28,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestInsertUpdatesInPlace(t *testing.T) {
-	tl := mustNew(t, 16, 4)
+	tl := NewDefault()
 	tl.Insert(5, 1)
 	tl.Insert(5, 2)
 	hpfn, ok := tl.Lookup(5)
@@ -46,25 +41,28 @@ func TestInsertUpdatesInPlace(t *testing.T) {
 }
 
 func TestEvictionWithinSet(t *testing.T) {
-	tl := mustNew(t, 8, 2) // 4 sets, 2 ways
-	// Keys 0, 4, 8 all map to set 0. Third insert evicts.
-	tl.Insert(0, 10)
-	tl.Insert(4, 14)
-	tl.Insert(8, 18)
+	tl := NewDefault()
+	// ways+1 gvpns in set 0: the last insert evicts.
+	for i := 0; i <= ways; i++ {
+		tl.Insert(sameSet(0, i), uint64(10+i))
+	}
 	if tl.Stats().Evictions != 1 {
 		t.Fatalf("evictions = %d", tl.Stats().Evictions)
 	}
-	if tl.Occupied() != 2 {
+	if tl.Occupied() != ways {
 		t.Fatalf("occupied = %d", tl.Occupied())
 	}
-	// 8 must be cached; exactly one of 0/4 survived.
-	if _, ok := tl.Lookup(8); !ok {
+	// The most recent insert must be cached; round-robin evicted way 0.
+	if _, ok := tl.Lookup(sameSet(0, ways)); !ok {
 		t.Fatal("most recent insert evicted")
+	}
+	if _, ok := tl.Lookup(sameSet(0, 0)); ok {
+		t.Fatal("round-robin victim survived")
 	}
 }
 
 func TestFlushSingle(t *testing.T) {
-	tl := mustNew(t, 16, 4)
+	tl := NewDefault()
 	tl.Insert(3, 30)
 	tl.Insert(4, 40)
 	tl.FlushSingle(3)
@@ -82,7 +80,7 @@ func TestFlushSingle(t *testing.T) {
 }
 
 func TestFlushAll(t *testing.T) {
-	tl := mustNew(t, 64, 4)
+	tl := NewDefault()
 	for i := uint64(0); i < 32; i++ {
 		tl.Insert(i, i)
 	}
@@ -95,16 +93,8 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
-func TestBadGeometryReturnsError(t *testing.T) {
-	for _, g := range [][2]int{{0, 1}, {7, 2}, {24, 2}, {-8, 2}} {
-		if tl, err := New(g[0], g[1]); err == nil {
-			t.Errorf("New(%d,%d) = %v, want error", g[0], g[1], tl)
-		}
-	}
-}
-
 func TestHitRate(t *testing.T) {
-	tl := mustNew(t, 16, 4)
+	tl := NewDefault()
 	if tl.Stats().HitRate() != 0 {
 		t.Fatal("idle hit rate should be 0")
 	}
@@ -117,7 +107,7 @@ func TestHitRate(t *testing.T) {
 }
 
 func TestResetStatsKeepsEntries(t *testing.T) {
-	tl := mustNew(t, 16, 4)
+	tl := NewDefault()
 	tl.Insert(1, 1)
 	tl.Lookup(1)
 	tl.ResetStats()
@@ -183,10 +173,7 @@ func TestFullFlushCausesMissStorm(t *testing.T) {
 
 func TestPropertyLookupNeverReturnsStaleAfterFlush(t *testing.T) {
 	err := quick.Check(func(keys []uint16) bool {
-		tl, err := New(64, 4)
-		if err != nil {
-			return false
-		}
+		tl := NewDefault()
 		for _, k := range keys {
 			tl.Insert(uint64(k), uint64(k)+1)
 			tl.FlushSingle(uint64(k))
@@ -198,56 +185,6 @@ func TestPropertyLookupNeverReturnsStaleAfterFlush(t *testing.T) {
 	}, &quick.Config{MaxCount: 50})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFlushAllResetsFrontCache pins the SoA front-cache planes against
-// invept: both the tag and value plane must clear. A stale front tag
-// surviving a full flush would fabricate a hit for a since-destroyed
-// translation — worse, after a post-flush refill of the same page to a
-// different frame, a stale value plane would silently serve the old frame.
-func TestFlushAllResetsFrontCache(t *testing.T) {
-	tl := NewDefault()
-	tl.Insert(42, 1000)
-	if v, ok := tl.Lookup(42); !ok || v != 1000 {
-		t.Fatalf("Lookup(42) = %d, %v before flush", v, ok)
-	}
-	// 42 is now mirrored in the front cache. A full flush must purge it.
-	tl.FlushAll()
-	if v, ok := tl.Lookup(42); ok {
-		t.Fatalf("Lookup(42) = %d after FlushAll; front cache survived invept", v)
-	}
-	if tl.Probe(42) {
-		t.Fatal("Probe(42) true after FlushAll; front tag plane not cleared")
-	}
-	// Refill the same page to a different frame: the front value plane
-	// must track the new translation, not resurrect the old one.
-	tl.Insert(42, 2000)
-	if v, ok := tl.Lookup(42); !ok || v != 2000 {
-		t.Fatalf("Lookup(42) = %d, %v after refill, want 2000", v, ok)
-	}
-	if v, ok := tl.Lookup(42); !ok || v != 2000 { // front-cache-served repeat
-		t.Fatalf("front-cached Lookup(42) = %d, %v, want 2000", v, ok)
-	}
-}
-
-// TestProbeIsSideEffectFree pins the batched path's prefetch contract:
-// Probe must not count lookups, hits or misses, and must not promote
-// entries into the front cache (which would perturb nothing visible, but
-// the guarantee is cheap to hold and makes the equivalence argument
-// one-line).
-func TestProbeIsSideEffectFree(t *testing.T) {
-	tl := NewDefault()
-	tl.Insert(7, 70)
-	before := tl.Stats()
-	if !tl.Probe(7) {
-		t.Fatal("Probe(7) = false for cached entry")
-	}
-	if tl.Probe(8) {
-		t.Fatal("Probe(8) = true for uncached entry")
-	}
-	if after := tl.Stats(); after != before {
-		t.Fatalf("Probe mutated stats: before %+v, after %+v", before, after)
 	}
 }
 
@@ -265,12 +202,14 @@ func BenchmarkLookupHit(b *testing.B) {
 // Replaying an identical insert sequence after a flush must pick the same
 // eviction victims — and leave the same survivors — as a fresh TLB.
 func TestFlushAllResetsReplacementState(t *testing.T) {
-	const entries, ways = 8, 2 // 4 sets
 	load := func(tl *TLB) {
-		// Keys 0,4,8,12 all map to set 0: two fills then two evictions,
-		// advancing set 0's cursor.
-		for _, k := range []uint64{0, 4, 8, 12, 1, 5, 9} {
-			tl.Insert(k, k+100)
+		// ways+2 gvpns in set 0 (ways fills, then two evictions advancing
+		// set 0's cursor) and three in set 1.
+		for i := 0; i < ways+2; i++ {
+			tl.Insert(sameSet(0, i), uint64(100+i))
+		}
+		for i := 0; i < 3; i++ {
+			tl.Insert(sameSet(1, i), uint64(200+i))
 		}
 	}
 	survivors := func(tl *TLB) map[uint64]uint64 {
@@ -282,13 +221,13 @@ func TestFlushAllResetsReplacementState(t *testing.T) {
 		return got
 	}
 
-	flushed := mustNew(t, entries, ways)
+	flushed := NewDefault()
 	load(flushed) // advance cursors away from their reset position
 	flushed.FlushAll()
 	flushed.ResetStats()
 	load(flushed)
 
-	fresh := mustNew(t, entries, ways)
+	fresh := NewDefault()
 	load(fresh)
 
 	fs, gs := survivors(fresh), survivors(flushed)

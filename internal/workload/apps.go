@@ -199,7 +199,6 @@ type LibLinear struct {
 	cursor       uint64
 	remaining    uint64
 	sweep        initSweep
-	gen          func() Access
 	ready        bool
 }
 
@@ -229,23 +228,27 @@ func (l *LibLinear) Setup(as AddressSpace) {
 	l.sweep.add(l.featureStart, l.FeaturePages)
 	l.sweep.add(l.weightStart, l.WeightPages)
 	l.remaining = l.Ops
-	l.gen = func() Access {
+	l.ready = true
+}
+
+// generate alternates one sequential feature read with one random weight
+// update.
+func (l *LibLinear) generate(dst []Access) {
+	for i := range dst {
 		if l.cursor%2 == 0 {
-			a := Access{GVA: pageGVA(l.featureStart, (l.cursor/2)%l.FeaturePages)}
-			l.cursor++
-			return a
+			dst[i] = Access{GVA: pageGVA(l.featureStart, (l.cursor/2)%l.FeaturePages)}
+		} else {
+			dst[i] = Access{GVA: pageGVA(l.weightStart, l.rng.Uint64n(l.WeightPages)), Write: true}
 		}
 		l.cursor++
-		return Access{GVA: pageGVA(l.weightStart, l.rng.Uint64n(l.WeightPages)), Write: true}
 	}
-	l.ready = true
 }
 
 // Fill implements Workload: alternate one sequential feature read with one
 // random weight update.
 func (l *LibLinear) Fill(dst []Access) (int, bool) {
 	checkSetup(l.Name(), l.ready)
-	return fillLoop(&l.sweep, &l.remaining, dst, l.gen)
+	return fillLoop(&l.sweep, &l.remaining, dst, l.generate)
 }
 
 // HotRegion returns the weight vector region.
@@ -264,7 +267,6 @@ type Bwaves struct {
 	cursor    uint64
 	remaining uint64
 	sweep     initSweep
-	gen       func() Access
 	ready     bool
 }
 
@@ -290,20 +292,25 @@ func (w *Bwaves) Setup(as AddressSpace) {
 		w.sweep.add(s, w.ArrayPages)
 	}
 	w.remaining = w.Ops
-	w.gen = func() Access {
+	w.ready = true
+}
+
+// generate emits round-robin sequential sweeps; the last array is written
+// (the solver output).
+func (w *Bwaves) generate(dst []Access) {
+	for i := range dst {
 		arr := int(w.cursor) % w.Arrays
 		page := (w.cursor / uint64(w.Arrays)) % w.ArrayPages
 		w.cursor++
-		return Access{GVA: pageGVA(w.starts[arr], page), Write: arr == w.Arrays-1}
+		dst[i] = Access{GVA: pageGVA(w.starts[arr], page), Write: arr == w.Arrays-1}
 	}
-	w.ready = true
 }
 
 // Fill implements Workload: round-robin sequential sweeps; the last array
 // is written (the solver output).
 func (w *Bwaves) Fill(dst []Access) (int, bool) {
 	checkSetup(w.Name(), w.ready)
-	return fillLoop(&w.sweep, &w.remaining, dst, w.gen)
+	return fillLoop(&w.sweep, &w.remaining, dst, w.generate)
 }
 
 // Silo models the in-memory OLTP engine under a YCSB-like mix: strong

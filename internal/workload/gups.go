@@ -31,7 +31,6 @@ type GUPS struct {
 	pHot      float64
 	remaining uint64
 	sweep     initSweep
-	gen       func() Access // built once at Setup; Fill is hot
 	ready     bool
 }
 
@@ -73,27 +72,33 @@ func (g *GUPS) Setup(as AddressSpace) {
 	g.pHot = hotMass / (hotMass + (1 - g.HotFraction))
 	g.remaining = g.Ops
 	g.sweep.add(g.region, g.FootprintPages)
-	g.gen = func() Access {
-		var page uint64
-		if g.rng.Float64() < g.pHot {
-			page = g.hotStart + g.rng.Uint64n(g.hotPages)
-		} else {
-			// Uniform over the cold section (everything but the hot run).
-			p := g.rng.Uint64n(g.FootprintPages - g.hotPages)
-			if p >= g.hotStart {
-				p += g.hotPages
-			}
-			page = p
-		}
-		return Access{GVA: pageGVA(g.region, page), Write: true}
-	}
 	g.ready = true
+}
+
+// generate fills dst with update transactions. The hot/cold choice picks
+// the draw's bound and offset rather than branching around the draw, so
+// the stream is that of the two-branch form: hot pages are hotStart plus
+// a draw over the hot run; cold pages are a draw over the rest, skipping
+// the hot run.
+func (g *GUPS) generate(dst []Access) {
+	coldPages := g.FootprintPages - g.hotPages
+	for i := range dst {
+		bound, off, gap := coldPages, uint64(0), g.hotPages
+		if g.rng.Float64() < g.pHot {
+			bound, off, gap = g.hotPages, g.hotStart, 0
+		}
+		page := off + g.rng.Uint64n(bound)
+		if page >= g.hotStart {
+			page += gap
+		}
+		dst[i] = Access{GVA: pageGVA(g.region, page), Write: true}
+	}
 }
 
 // Fill implements Workload.
 func (g *GUPS) Fill(dst []Access) (int, bool) {
 	checkSetup(g.Name(), g.ready)
-	return fillLoop(&g.sweep, &g.remaining, dst, g.gen)
+	return fillLoop(&g.sweep, &g.remaining, dst, g.generate)
 }
 
 // HotRange returns the hot section as page indices relative to the region

@@ -153,24 +153,23 @@ func checkSetup(name string, ready bool) {
 	}
 }
 
-// fillLoop drives init-then-main generation shared by all workloads.
-func fillLoop(sweep *initSweep, remaining *uint64, dst []Access, gen func() Access) (int, bool) {
+// fillLoop drives init-then-main generation shared by the single-access
+// workloads: the sweep fills dst one access at a time, then gen fills the
+// rest of dst (capped at the remaining operation count) in one call.
+func fillLoop(sweep *initSweep, remaining *uint64, dst []Access, gen func([]Access)) (int, bool) {
 	n := 0
-	for n < len(dst) {
-		if !sweep.done {
-			if a, ok := sweep.next(); ok {
-				dst[n] = a
-				n++
-				continue
-			}
-			continue // sweep just finished; fall through next iteration
+	for !sweep.done && n < len(dst) {
+		if a, ok := sweep.next(); ok {
+			dst[n] = a
+			n++
 		}
-		if *remaining == 0 {
-			return n, true
-		}
-		dst[n] = gen()
-		*remaining--
-		n++
 	}
-	return n, sweep.done && *remaining == 0
+	k := uint64(len(dst) - n)
+	if !sweep.done || *remaining == 0 || k == 0 {
+		return n, sweep.done && *remaining == 0
+	}
+	k = min(k, *remaining)
+	gen(dst[n : n+int(k)])
+	*remaining -= k
+	return n + int(k), *remaining == 0
 }
