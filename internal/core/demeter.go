@@ -41,7 +41,9 @@ const (
 	CompMigrate  = "migrate"
 )
 
-// Config assembles all of Demeter's tunables.
+// Config assembles Demeter's tunables: the parameters the paper's
+// sensitivity study sweeps, the ablation switches, and the cadences and
+// batches that scale with the run. The rest of the design is fixed below.
 type Config struct {
 	// Params drives the range tree (α, τ_split, τ_merge, granularity).
 	Params Params
@@ -55,8 +57,6 @@ type Config struct {
 	// Event selects the PEBS trigger; Demeter uses the media-agnostic
 	// load-latency event (§3.2.2 "Event Selection").
 	Event pebs.Event
-	// ChannelCapacity sizes the MPSC sample ring (power of two).
-	ChannelCapacity int
 	// MigrationBatch caps pages promoted per epoch.
 	MigrationBatch int
 	// DrainAtContextSwitch selects Demeter's integrated draining. When
@@ -70,40 +70,42 @@ type Config struct {
 	// sample (the overhead physical-space classifiers pay and Demeter's
 	// direct-gVA design avoids; ablation knob).
 	TranslateSamples bool
-	// MinHotSamples is the minimum decayed access count a range needs to
-	// source promotions: ranges whose counts are sampling noise must not
-	// trigger page movement.
-	MinHotSamples float64
-	// HysteresisRatio gates swapping: a promotion candidate's range must
-	// be at least this many times hotter (per page) than the demotion
-	// candidate's range. Without it, equal-temperature cold ranges at
-	// the FMEM boundary would swap back and forth every epoch.
-	HysteresisRatio float64
 	// SequentialRelocation, when true, replaces balanced swapping with
 	// the traditional demote-then-promote sequence through temporarily
 	// allocated pages (§3.2.3's criticized baseline; ablation knob).
 	// Each demotion under memory pressure also pays a direct-reclaim
 	// penalty, the cascading cost balanced swapping avoids.
 	SequentialRelocation bool
-	// AdaptiveSampling lets the PEBS unit widen its sample period under
-	// sustained PMI storms and narrow it back when calm (graceful
-	// degradation instead of an interrupt livelock).
-	AdaptiveSampling bool
-	// MaxPageRetries caps how often one page is requeued after a
-	// transient migration failure before it is abandoned (the classifier
-	// will rediscover it if it stays hot).
-	MaxPageRetries int
-	// RangeRetryBudget caps total retries charged against one range per
-	// its lifetime in the retry queue; a range whose pages keep failing
-	// is backed off wholesale.
-	RangeRetryBudget int
-	// RetryBackoffCap bounds the exponential epoch backoff between
-	// retries of the same page (in epochs).
-	RetryBackoffCap int
 }
 
+// The fixed parts of Demeter's design.
+const (
+	// channelCapacity sizes the MPSC sample ring (power of two).
+	channelCapacity = 1 << 14
+	// minHotSamples is the minimum decayed access count a range needs to
+	// source promotions: ranges whose counts are sampling noise must not
+	// trigger page movement.
+	minHotSamples = 8
+	// hysteresisRatio gates swapping: a promotion candidate's range must
+	// be at least this many times hotter (per page) than the demotion
+	// candidate's range. Without it, equal-temperature cold ranges at
+	// the FMEM boundary would swap back and forth every epoch.
+	hysteresisRatio = 1.5
+	// maxPageRetries caps how often one page is requeued after a
+	// transient migration failure before it is abandoned (the classifier
+	// will rediscover it if it stays hot).
+	maxPageRetries = 4
+	// rangeRetryBudget caps total retries charged against one range per
+	// its lifetime in the retry queue; a range whose pages keep failing
+	// is backed off wholesale.
+	rangeRetryBudget = 64
+	// retryBackoffCap bounds the exponential epoch backoff between
+	// retries of the same page (in epochs).
+	retryBackoffCap = 8
+)
+
 // Validate checks every invariant Attach would otherwise panic on (bad
-// PEBS parameters, a non-power-of-two channel, zero periods), so
+// PEBS parameters, zero periods, an empty migration batch), so
 // config-driven callers — the serve daemon — can reject a bad Config as
 // an ordinary error before any engine or VM state is touched. Harness
 // code with compile-time-constant configs may still rely on the Attach
@@ -117,9 +119,6 @@ func (c Config) Validate() error {
 	}
 	if c.LatencyThreshold < 0 {
 		return fmt.Errorf("core: negative latency threshold %v", c.LatencyThreshold)
-	}
-	if c.ChannelCapacity <= 0 || c.ChannelCapacity&(c.ChannelCapacity-1) != 0 {
-		return fmt.Errorf("core: channel capacity must be a positive power of two, got %d", c.ChannelCapacity)
 	}
 	if c.MigrationBatch <= 0 {
 		return fmt.Errorf("core: migration batch must be positive, got %d", c.MigrationBatch)
@@ -141,16 +140,9 @@ func DefaultConfig() Config {
 		SamplePeriod:         4093,
 		LatencyThreshold:     64,
 		Event:                pebs.EventLoadLatency,
-		ChannelCapacity:      1 << 14,
 		MigrationBatch:       4096,
-		MinHotSamples:        8,
-		HysteresisRatio:      1.5,
 		DrainAtContextSwitch: true,
 		PollPeriod:           sim.Millisecond,
-		AdaptiveSampling:     true,
-		MaxPageRetries:       4,
-		RangeRetryBudget:     64,
-		RetryBackoffCap:      8,
 	}
 }
 
@@ -259,7 +251,10 @@ func (d *Demeter) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 	pcfg := pebs.ConfigWithPeriod(d.Cfg.SamplePeriod)
 	pcfg.LatencyThreshold = d.Cfg.LatencyThreshold
 	pcfg.Event = d.Cfg.Event
-	pcfg.AdaptivePeriod = d.Cfg.AdaptiveSampling
+	// The unit widens its sample period under sustained PMI storms and
+	// narrows it back when calm (graceful degradation instead of an
+	// interrupt livelock).
+	pcfg.AdaptivePeriod = true
 	unit, err := pebs.NewUnit(pcfg)
 	if err != nil {
 		panic(fmt.Sprintf("core: bad PEBS config: %v", err))
@@ -270,7 +265,7 @@ func (d *Demeter) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		panic(fmt.Sprintf("core: PEBS arm failed: %v", err))
 	}
 
-	d.ch = NewSampleChannel(d.Cfg.ChannelCapacity)
+	d.ch = NewSampleChannel(channelCapacity)
 	d.tree = NewRangeTree(d.Cfg.Params, d.trackedRegions()...)
 	d.rangeRetries = make(map[uint64]int)
 
@@ -492,18 +487,12 @@ func (d *Demeter) epoch() {
 // capped exponential backoff, or abandons it when either the page or its
 // range has exhausted its retry budget.
 func (d *Demeter) requeue(gvpn, rangeStart uint64, attempts int) {
-	if attempts >= d.Cfg.MaxPageRetries || d.rangeRetries[rangeStart] >= d.Cfg.RangeRetryBudget {
+	if attempts >= maxPageRetries || d.rangeRetries[rangeStart] >= rangeRetryBudget {
 		d.stats.Abandoned++
 		return
 	}
 	d.rangeRetries[rangeStart]++
-	backoff := 1
-	for i := 0; i < attempts && backoff < d.Cfg.RetryBackoffCap; i++ {
-		backoff *= 2
-	}
-	if backoff > d.Cfg.RetryBackoffCap && d.Cfg.RetryBackoffCap > 0 {
-		backoff = d.Cfg.RetryBackoffCap
-	}
+	backoff := min(1<<attempts, retryBackoffCap)
 	d.retryQ = append(d.retryQ, retryEntry{
 		gvpn:       gvpn,
 		rangeStart: rangeStart,
@@ -597,7 +586,7 @@ func (d *Demeter) relocate() {
 	var proms []cand
 	for i := 0; i < f && len(proms) < d.Cfg.MigrationBatch; i++ {
 		r := ranked[i]
-		if r.Count < d.Cfg.MinHotSamples {
+		if r.Count < minHotSamples {
 			continue // sampling noise, not evidence of heat
 		}
 		visited := gpt.ScanRange(r.StartPage, r.EndPage, func(gvpn uint64, e *pagetable.Entry) bool {
@@ -664,14 +653,10 @@ func (d *Demeter) relocate() {
 	if len(demos) < pairs {
 		pairs = len(demos)
 	}
-	hysteresis := d.Cfg.HysteresisRatio
-	if hysteresis <= 0 {
-		hysteresis = 1
-	}
 	for k := 0; k < pairs; k++ {
 		// Swapping equal-temperature pages is pure churn: require the
 		// promotion side to be clearly hotter.
-		if proms[k].freq < demos[k].freq*hysteresis+1e-9 {
+		if proms[k].freq < demos[k].freq*hysteresisRatio+1e-9 {
 			break
 		}
 		if d.Cfg.SequentialRelocation {

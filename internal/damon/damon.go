@@ -39,12 +39,13 @@ type Config struct {
 	// MinRegions / MaxRegions bound the adaptive region set (Linux
 	// defaults 10/1000).
 	MinRegions, MaxRegions int
-	// MergeThreshold is the nr_accesses difference below which adjacent
-	// regions merge.
-	MergeThreshold uint32
 	// Seed fixes the sampling RNG.
 	Seed uint64
 }
+
+// mergeThreshold is the nr_accesses difference below which adjacent
+// regions merge.
+const mergeThreshold = 1
 
 // DefaultConfig returns Linux's defaults.
 func DefaultConfig() Config {
@@ -53,7 +54,6 @@ func DefaultConfig() Config {
 		AggregationInterval: 100 * sim.Millisecond,
 		MinRegions:          10,
 		MaxRegions:          1000,
-		MergeThreshold:      1,
 		Seed:                1,
 	}
 }
@@ -211,7 +211,7 @@ func (p *Profiler) aggregate(now sim.Time) {
 	merged := p.regions[:1]
 	for _, r := range p.regions[1:] {
 		last := &merged[len(merged)-1]
-		close := diffU32(last.NrAccesses, r.NrAccesses) <= p.Cfg.MergeThreshold
+		close := diffU32(last.NrAccesses, r.NrAccesses) <= mergeThreshold
 		if close && last.EndPage == r.StartPage && len(p.regions) > p.Cfg.MinRegions {
 			last.EndPage = r.EndPage
 			last.NrAccesses = (last.NrAccesses + r.NrAccesses) / 2

@@ -1,6 +1,7 @@
 package damon
 
 import (
+	"fmt"
 	"testing"
 
 	"demeter/internal/engine"
@@ -44,9 +45,25 @@ func rig(t *testing.T) (*sim.Engine, *hypervisor.VM, *engine.Executor, *workload
 	return eng, vm, x, wl
 }
 
+// assertOrdered fails unless regions are ascending and disjoint — the
+// order the tracker read model relies on without sorting.
+func assertOrdered(t *testing.T, what string, regions []Region) {
+	t.Helper()
+	for j := 1; j < len(regions); j++ {
+		if regions[j].StartPage < regions[j-1].EndPage {
+			t.Fatalf("%s: regions overlap or out of order at %d", what, j)
+		}
+	}
+}
+
 func TestProfilerRegionInvariants(t *testing.T) {
 	eng, vm, x, _ := rig(t)
 	p := mustProfiler(t, testCfg())
+	snaps := 0
+	p.OnAgg = func(s Snapshot) {
+		snaps++
+		assertOrdered(t, fmt.Sprintf("snapshot at %v", s.At), s.Regions)
+	}
 	p.Attach(eng, vm)
 	defer p.Detach()
 	x.Start()
@@ -56,17 +73,16 @@ func TestProfilerRegionInvariants(t *testing.T) {
 		if len(regions) > p.Cfg.MaxRegions {
 			t.Fatalf("region count %d exceeds max %d", len(regions), p.Cfg.MaxRegions)
 		}
-		for j := 1; j < len(regions); j++ {
-			if regions[j].StartPage < regions[j-1].EndPage {
-				t.Fatalf("regions overlap or out of order at %d", j)
-			}
-		}
+		assertOrdered(t, "Regions()", regions)
 		if x.Finished() {
 			break
 		}
 	}
 	if p.Samples == 0 {
 		t.Fatal("profiler never sampled")
+	}
+	if snaps == 0 {
+		t.Fatal("profiler never published a snapshot")
 	}
 }
 

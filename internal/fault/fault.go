@@ -222,7 +222,8 @@ func DefaultSchedule() Schedule {
 }
 
 // ParseSchedule parses "point=rate,point=rate,..." against the registry.
-// The empty string yields an empty schedule.
+// The empty string yields an empty schedule. Every accepted schedule
+// passes Validate, so a NaN rate is rejected rather than armed.
 func ParseSchedule(spec string) (Schedule, error) {
 	s := make(Schedule)
 	if strings.TrimSpace(spec) == "" {
@@ -238,14 +239,14 @@ func ParseSchedule(spec string) (Schedule, error) {
 			return nil, fmt.Errorf("fault: bad schedule entry %q (want point=rate)", part)
 		}
 		p := Point(strings.TrimSpace(kv[0]))
-		if _, ok := registry[p]; !ok {
-			return nil, fmt.Errorf("fault: unknown injection point %q", p)
-		}
 		rate, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
-		if err != nil || rate < 0 || rate > 1 {
+		if err != nil {
 			return nil, fmt.Errorf("fault: bad rate %q for point %q (want 0..1)", kv[1], p)
 		}
 		s[p] = rate
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

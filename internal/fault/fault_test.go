@@ -143,6 +143,9 @@ func TestParseSchedule(t *testing.T) {
 	if _, err := ParseSchedule("test.alpha"); err == nil {
 		t.Fatal("missing rate accepted")
 	}
+	if _, err := ParseSchedule("test.alpha=NaN"); err == nil {
+		t.Fatal("NaN rate accepted")
+	}
 	if s, err := ParseSchedule(""); err != nil || len(s) != 0 {
 		t.Fatalf("empty spec: %v %v", s, err)
 	}

@@ -106,15 +106,6 @@ type Config struct {
 	// CalmAfter is how many consecutive clean checks move SUSPECT back
 	// to HEALTHY (the flap damper for transient stalls).
 	CalmAfter int
-	// RecoverAfter is how many consecutive clean checks move
-	// RECOVERING → HEALTHY after a handback.
-	RecoverAfter int
-	// DropRateLimit is the per-window delegation sample drop fraction
-	// above which the channel counts as unhealthy.
-	DropRateLimit float64
-	// TimeoutStreak is how many consecutive windows with fresh balloon
-	// watchdog expiries count as a wedged guest driver (0 disables).
-	TimeoutStreak int
 	// StaleAfter bounds guest telemetry age: a report older than this,
 	// while the workload demonstrably progresses, is a staleness signal.
 	StaleAfter sim.Duration
@@ -130,22 +121,32 @@ type Config struct {
 	Fallback tmm.VTMMConfig
 }
 
+// The fixed parts of every monitor.
+const (
+	// recoverAfter is how many consecutive clean checks move
+	// RECOVERING → HEALTHY after a handback.
+	recoverAfter = 2
+	// dropRateLimit is the per-window delegation sample drop fraction
+	// above which the channel counts as unhealthy.
+	dropRateLimit = 0.5
+	// balloonTimeoutStreak is how many consecutive windows with fresh
+	// balloon watchdog expiries count as a wedged guest driver.
+	balloonTimeoutStreak = 3
+)
+
 // DefaultConfig returns a config scaled to the run's classification
 // epoch: check every other epoch, degrade after ~3 bad windows, probe
 // with exponential backoff from two epochs.
 func DefaultConfig(epoch sim.Duration) Config {
 	return Config{
-		CheckPeriod:   2 * epoch,
-		SuspectAfter:  1,
-		DegradeAfter:  2,
-		CalmAfter:     2,
-		RecoverAfter:  2,
-		DropRateLimit: 0.5,
-		TimeoutStreak: 3,
-		StaleAfter:    8 * epoch,
-		ProbeBackoff:  sim.Backoff{Base: 2 * epoch, Max: 32 * epoch},
-		Failover:      true,
-		Fallback:      tmm.DefaultVTMMConfig(),
+		CheckPeriod:  2 * epoch,
+		SuspectAfter: 1,
+		DegradeAfter: 2,
+		CalmAfter:    2,
+		StaleAfter:   8 * epoch,
+		ProbeBackoff: sim.Backoff{Base: 2 * epoch, Max: 32 * epoch},
+		Failover:     true,
+		Fallback:     tmm.DefaultVTMMConfig(),
 	}
 }
 
@@ -340,7 +341,7 @@ func (m *Monitor) check(now sim.Time) {
 			m.degrade(signals)
 		} else {
 			m.recoverStreak++
-			if m.recoverStreak >= m.Cfg.RecoverAfter {
+			if m.recoverStreak >= recoverAfter {
 				m.stats.Recoveries++
 				m.transition(Healthy, 0)
 			}
@@ -365,7 +366,7 @@ func (m *Monitor) evaluate(now sim.Time) uint64 {
 	dropped := m.delegate.ChannelDropped()
 	attempts := st.Samples - m.lastSamples
 	if d := dropped - m.lastDropped; attempts > 0 &&
-		float64(d)/float64(attempts) > m.Cfg.DropRateLimit {
+		float64(d)/float64(attempts) > dropRateLimit {
 		signals |= SignalDrops
 		m.stats.DropWindows++
 	}
@@ -382,7 +383,7 @@ func (m *Monitor) evaluate(now sim.Time) uint64 {
 			m.timeoutStreak = 0
 		}
 		m.lastTimeouts = t
-		if m.Cfg.TimeoutStreak > 0 && m.timeoutStreak >= m.Cfg.TimeoutStreak {
+		if m.timeoutStreak >= balloonTimeoutStreak {
 			signals |= SignalBalloon
 		}
 	}

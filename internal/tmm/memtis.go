@@ -18,33 +18,35 @@ type MemtisConfig struct {
 	SamplePeriod uint64
 	// PollPeriod is the dedicated collection kthread's cadence.
 	PollPeriod sim.Duration
-	// KthreadShare is the fraction of one core the collection thread
-	// burns even when idle — the overhead Demeter's context-switch
-	// draining eliminates (Figure 7's 16× tracking gap).
-	KthreadShare float64
 	// HotThreshold is the per-page access count that classifies a page
 	// hot. Static thresholds are exactly what §3.2.1 criticizes: pages
 	// just below it are never promoted regardless of FMEM headroom.
 	HotThreshold float64
 	// ClassifyPeriod is the classification + migration cadence.
 	ClassifyPeriod sim.Duration
-	// CoolEveryRounds halves the histogram every N classification
-	// rounds (Memtis' periodic cooling).
-	CoolEveryRounds uint64
 	// MigrationBatch caps page moves per classification round.
 	MigrationBatch int
 }
 
+// The fixed parts of the Memtis model.
+const (
+	// memtisKthreadShare is the fraction of one core the collection
+	// thread burns even when idle — the overhead Demeter's context-switch
+	// draining eliminates (Figure 7's 16× tracking gap).
+	memtisKthreadShare = 0.10
+	// memtisCoolEveryRounds halves the histogram every N classification
+	// rounds (Memtis' periodic cooling).
+	memtisCoolEveryRounds = 10
+)
+
 // DefaultMemtisConfig mirrors Memtis' published configuration.
 func DefaultMemtisConfig() MemtisConfig {
 	return MemtisConfig{
-		SamplePeriod:    2039,
-		PollPeriod:      sim.Millisecond,
-		KthreadShare:    0.10,
-		HotThreshold:    4,
-		ClassifyPeriod:  sim.Second,
-		CoolEveryRounds: 10,
-		MigrationBatch:  4096,
+		SamplePeriod:   2039,
+		PollPeriod:     sim.Millisecond,
+		HotThreshold:   4,
+		ClassifyPeriod: sim.Second,
+		MigrationBatch: 4096,
 	}
 }
 
@@ -113,7 +115,7 @@ func (p *Memtis) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 			return
 		}
 		// The kthread burns its share whether or not samples arrived.
-		vm.ChargeGuest(CompTrack, sim.Duration(float64(p.Cfg.PollPeriod)*p.Cfg.KthreadShare))
+		vm.ChargeGuest(CompTrack, sim.Duration(float64(p.Cfg.PollPeriod)*memtisKthreadShare))
 		p.drain()
 	})
 	p.classify = eng.StartTicker(p.Cfg.ClassifyPeriod, func(sim.Time) {
@@ -162,7 +164,7 @@ func (p *Memtis) round() {
 
 	var hot []uint64      // slow-tier gpfns above the threshold
 	var coldFast []uint64 // fast-tier gpfns below it
-	cool := p.Cfg.CoolEveryRounds > 0 && (p.stats.Rounds+1)%p.Cfg.CoolEveryRounds == 0
+	cool := (p.stats.Rounds+1)%memtisCoolEveryRounds == 0
 	p.hist.sweep(cool, func(gpfn uint64, count float64) {
 		if count >= p.Cfg.HotThreshold {
 			if kernel.NodeOfGPFN(mem.Frame(gpfn)) != 0 && len(hot) < p.Cfg.MigrationBatch {

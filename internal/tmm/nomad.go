@@ -6,33 +6,30 @@ import (
 	"demeter/internal/sim"
 )
 
-// NomadConfig tunes the Nomad model: TPP's loop settings plus the cost of
-// a transactional copy.
-type NomadConfig struct {
-	TPPConfig
-	// ShadowFaultCount is the number of write-protect faults each
-	// transactional copy pays (protect + resolve).
-	ShadowFaultCount int
-	// DirtyRetryFrac is the fraction of transactional copies aborted by
-	// a concurrent write and retried.
-	DirtyRetryFrac float64
-}
+// NomadConfig tunes the Nomad model: it runs TPP's loop settings, and
+// the cost of a transactional copy is fixed below.
+type NomadConfig = TPPConfig
 
-// nomadFreeTarget is the small FMEM free watermark Nomad's demotion side
-// keeps for hint faults.
-const nomadFreeTarget = 0.02
+// The fixed parts of the Nomad model.
+const (
+	// nomadFreeTarget is the small FMEM free watermark Nomad's demotion
+	// side keeps for hint faults.
+	nomadFreeTarget = 0.02
+	// nomadShadowFaultCount is the number of write-protect faults each
+	// transactional copy pays (protect + resolve).
+	nomadShadowFaultCount = 2
+	// nomadDirtyRetryFrac is the fraction of transactional copies
+	// aborted by a concurrent write and retried.
+	nomadDirtyRetryFrac = 0.15
+)
 
 // DefaultNomadConfig mirrors Nomad's published behaviour. Nomad optimizes
 // against migration thrashing, so its deeper counter waits for more
 // evidence before moving a page than TPP does.
 func DefaultNomadConfig() NomadConfig {
 	return NomadConfig{
-		TPPConfig: TPPConfig{
-			ScanConfig: ScanConfig{ScanPeriod: sim.Second, MigrationBatch: 4096},
-			MaxScore:   6,
-		},
-		ShadowFaultCount: 2,
-		DirtyRetryFrac:   0.15,
+		ScanConfig: ScanConfig{ScanPeriod: sim.Second, MigrationBatch: 4096},
+		MaxScore:   6,
 	}
 }
 
@@ -63,7 +60,7 @@ func (p *Nomad) Name() string { return "nomad" }
 
 // Attach implements Policy.
 func (p *Nomad) Attach(eng *sim.Engine, vm *hypervisor.VM) {
-	p.attach(eng, vm, "Nomad", &p.Cfg.TPPConfig, nomadFreeTarget, p)
+	p.attach(eng, vm, "Nomad", &p.Cfg, nomadFreeTarget, p)
 }
 
 // retainShadow completes a transactional promotion of gvpn: it returns
@@ -72,12 +69,10 @@ func (p *Nomad) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 // shadow until the page is dirtied.
 func (p *Nomad) retainShadow(gvpn uint64) sim.Duration {
 	cm := &p.vm.Machine.Cost
-	if p.Cfg.DirtyRetryFrac > 0 {
-		p.Retries++
-	}
+	p.Retries++
 	*p.vm.Proc.GPT.Meta(gvpn) |= shadowBit
-	return sim.Duration(p.Cfg.ShadowFaultCount)*cm.HintFaultCost +
-		sim.Duration(p.Cfg.DirtyRetryFrac*float64(mem.CopyCost(mem.SpecPMEM, mem.SpecLocalDRAM, mem.PageSize)))
+	return nomadShadowFaultCount*cm.HintFaultCost +
+		sim.Duration(nomadDirtyRetryFrac*float64(mem.CopyCost(mem.SpecPMEM, mem.SpecLocalDRAM, mem.PageSize)))
 }
 
 // demoteToShadow drops the fast copy of a clean shadowed page. The model

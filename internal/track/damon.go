@@ -2,7 +2,6 @@ package track
 
 import (
 	"fmt"
-	"sort"
 
 	"demeter/internal/damon"
 	"demeter/internal/hypervisor"
@@ -72,7 +71,9 @@ func (t *damonTracker) Detach() {
 }
 
 // fold replaces the counter set with the snapshot's regions, inheriting
-// recency for regions the profiler saw idle this window.
+// recency for regions the profiler saw idle this window. The profiler
+// keeps its regions ascending and disjoint, so the counters come out
+// sorted by StartGVPN, as newestOverlap requires.
 func (t *damonTracker) fold(s damon.Snapshot) {
 	prev := t.counters
 	next := make([]Counter, 0, len(s.Regions))
@@ -89,7 +90,6 @@ func (t *damonTracker) fold(s damon.Snapshot) {
 		}
 		next = append(next, c)
 	}
-	sort.Slice(next, func(i, j int) bool { return next[i].StartGVPN < next[j].StartGVPN })
 	t.counters = next
 }
 

@@ -218,29 +218,39 @@ func TestTrackersAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestScanTrackerGolden pins the read models of the two A-bit scanning
-// trackers after a fixed run to digests taken before idlepage became a
-// view of the abit scan, so the merge is checked against the old code
-// rather than only against itself.
+// TestScanTrackerGolden pins the read models of all four trackers after
+// a fixed run. The abit/idlepage digests were taken before idlepage became
+// a view of the abit scan, the pebs/damon ones before damon's fold stopped
+// re-sorting regions the profiler already keeps ordered, so each
+// simplification is checked against the old code rather than only against
+// itself.
 func TestScanTrackerGolden(t *testing.T) {
-	// Period 0 selects each kind's default cadence.
+	// Period 0 selects each kind's default cadence; sample 0 the default
+	// PEBS period.
 	cases := []struct {
 		kind   string
 		period sim.Duration
 		batch  int
+		sample uint64
 		want   string
 	}{
-		{"abit", 2 * sim.Millisecond, 4096, "300 counters 2f1ae2225733a928 track=1044150"},
-		{"abit", 2 * sim.Millisecond, 64, "300 counters 3c36e51af922891b track=238680"},
-		{"abit", 0, 64, "300 counters 60dc63c4c4f68a47 track=49500"},
-		{"idlepage", 2 * sim.Millisecond, 4096, "300 counters 039c3b536d2a2242 track=1044150"},
-		{"idlepage", 2 * sim.Millisecond, 64, "300 counters 5584519706bc5517 track=238680"},
-		{"idlepage", 0, 64, "128 counters ee98e2643b6a993d track=21120"},
+		{"abit", 2 * sim.Millisecond, 4096, 17, "300 counters 2f1ae2225733a928 track=1044150"},
+		{"abit", 2 * sim.Millisecond, 64, 17, "300 counters 3c36e51af922891b track=238680"},
+		{"abit", 0, 64, 17, "300 counters 60dc63c4c4f68a47 track=49500"},
+		{"idlepage", 2 * sim.Millisecond, 4096, 17, "300 counters 039c3b536d2a2242 track=1044150"},
+		{"idlepage", 2 * sim.Millisecond, 64, 17, "300 counters 5584519706bc5517 track=238680"},
+		{"idlepage", 0, 64, 17, "128 counters ee98e2643b6a993d track=21120"},
+		{"pebs", 2 * sim.Millisecond, 4096, 17, "300 counters c478bdc5b353e659 track=88675"},
+		{"pebs", 2 * sim.Millisecond, 4096, 101, "201 counters e524a80e9c655fe4 track=14925"},
+		{"pebs", 0, 4096, 0, "13 counters 60730afa4da1a850 track=350"},
+		{"damon", 2 * sim.Millisecond, 4096, 17, "4 counters 8910ae3dc40c60f6 track=2232045"},
+		{"damon", 0, 4096, 17, "1 counters 26c88e6269fe0112 track=74640"},
+		{"damon", 20 * sim.Millisecond, 4096, 17, "8 counters b9c6db5cb939d505 track=229845"},
 	}
 	for _, c := range cases {
 		eng, vm, x, _ := rig(t)
 		cfg := testConfig(c.kind)
-		cfg.Period, cfg.ScanBatch = c.period, c.batch
+		cfg.Period, cfg.ScanBatch, cfg.SamplePeriod = c.period, c.batch, c.sample
 		tr, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +272,7 @@ func TestScanTrackerGolden(t *testing.T) {
 		}
 		got := fmt.Sprintf("%d counters %x track=%d", len(counters), h.Sum(nil)[:8], vm.Ledger.Total("track"))
 		if got != c.want {
-			t.Errorf("%s period %v batch %d: got %q, want %q", c.kind, c.period, c.batch, got, c.want)
+			t.Errorf("%s period %v batch %d sample %d: got %q, want %q", c.kind, c.period, c.batch, c.sample, got, c.want)
 		}
 	}
 }
