@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -193,10 +194,19 @@ func parseDuration(s string) (sim.Duration, error) {
 		if err != nil {
 			continue
 		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("non-finite duration %q", s)
+		}
 		if v < 0 {
 			return 0, fmt.Errorf("negative duration %q", s)
 		}
-		return sim.Duration(v * float64(u.scale)), nil
+		// float64(MaxInt64) rounds up to 2^63, so >= rejects every
+		// product the conversion below would wrap.
+		d := v * float64(u.scale)
+		if d >= math.MaxInt64 {
+			return 0, fmt.Errorf("duration %q overflows the simulated clock", s)
+		}
+		return sim.Duration(d), nil
 	}
 	return 0, fmt.Errorf("bad duration %q (want e.g. 500ns, 10us, 1.5ms, 2s)", s)
 }

@@ -217,6 +217,7 @@ func TestConfigErrors(t *testing.T) {
 		"unnamed vm":       `{"host_fmem_frames":64,"host_smem_frames":64,"vms":[{"name":""}]}`,
 		"bad quantum":      `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"fast","vms":[{"name":"a"}]}`,
 		"negative quantum": `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"-5ms","vms":[{"name":"a"}]}`,
+		"NaN quantum":      `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"NaNms","vms":[{"name":"a"}]}`,
 	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -259,6 +260,9 @@ func TestCommandErrors(t *testing.T) {
 	script := strings.Join([]string{
 		"frobnicate",
 		"run fast",
+		"run NaNms",
+		"run 1ms",
+		"run 9223372036854775000ns",
 		"run 1ms 2ms",
 		"policy -dump accessed",
 		"policy -dump accessed 5ms,1ms",
@@ -277,7 +281,7 @@ func TestCommandErrors(t *testing.T) {
 		"quit",
 	}, "\n") + "\n"
 	out := runScript(t, sampleConfig, script)
-	wantErrors := 16
+	wantErrors := 18
 	if got := strings.Count(out, "error:"); got != wantErrors {
 		t.Fatalf("want %d error lines, got %d:\n%s", wantErrors, got, out)
 	}
@@ -363,7 +367,8 @@ func TestParseDuration(t *testing.T) {
 			t.Errorf("parseDuration(%q) = %v, want %v", s, got, want)
 		}
 	}
-	for _, s := range []string{"", "5", "-5ms", "fast", "5m", "ms", "1.2.3s"} {
+	for _, s := range []string{"", "5", "-5ms", "fast", "5m", "ms", "1.2.3s",
+		"NaNms", "Infs", "1e300s", "9.3e18ns"} {
 		if _, err := parseDuration(s); err == nil {
 			t.Errorf("parseDuration(%q) accepted", s)
 		}

@@ -418,9 +418,6 @@ func auditMachine(m *hypervisor.Machine) {
 // machineAuditErr is auditMachine's error-returning form, used by the
 // chaos runner which reports violations instead of panicking.
 func machineAuditErr(m *hypervisor.Machine) error {
-	for _, vm := range m.VMs {
-		benchAccesses.Add(vm.Stats().Accesses)
-	}
 	if err := m.AuditFrames(); err != nil {
 		return fmt.Errorf("host frame audit failed: %w", err)
 	}

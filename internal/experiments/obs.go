@@ -44,6 +44,18 @@ func (a *obsAccum) add(s obs.Snapshot) {
 	a.mu.Unlock()
 }
 
+// accesses sums the vm_accesses counters of the experiment's leaf
+// snapshots: the guest memory accesses all its cluster runs simulated.
+func (a *obsAccum) accesses() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var n uint64
+	for _, s := range a.snaps {
+		n += uint64(s.Total("vm_accesses"))
+	}
+	return n
+}
+
 // section renders the experiment's merged metrics, condensed across VMs
 // and clusters. Snapshots are folded in canonical (JSON-sorted) order so
 // the float sums — and with them the bytes — are schedule-independent.

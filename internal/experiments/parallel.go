@@ -109,23 +109,14 @@ func FanOut(n int, job func(i int)) {
 	wg.Wait()
 }
 
-// benchAccesses tallies guest memory accesses at the audit chokepoint
-// every run passes through on teardown; the bench harness reads it to
-// report accesses/sec per experiment.
-//
-//lint:allow crossshard monotone atomic tally folded at teardown; commutative adds cannot perturb reports
-var benchAccesses atomic.Uint64
-
-// TakeBenchAccesses returns the accesses accumulated since the last call
-// and resets the tally.
-func TakeBenchAccesses() uint64 { return benchAccesses.Swap(0) }
-
-// Report is one experiment's rendered output plus its wall time.
+// Report is one experiment's rendered output plus its wall time and the
+// guest memory accesses its cluster runs simulated.
 type Report struct {
-	ID      string
-	Title   string
-	Output  string
-	Elapsed time.Duration
+	ID       string
+	Title    string
+	Output   string
+	Elapsed  time.Duration
+	Accesses uint64
 }
 
 // RunExperiments executes the given experiments and returns reports in
@@ -145,7 +136,7 @@ func RunExperiments(s Scale, es []Experiment) []Report {
 		si.obsAcc = &obsAccum{}
 		out := es[i].Run(si) + si.obsAcc.section()
 		//lint:allow simdet host wall clock feeds only Report.Elapsed, never simulation state
-		reports[i] = Report{ID: es[i].ID, Title: es[i].Title, Output: out, Elapsed: time.Since(start)}
+		reports[i] = Report{ID: es[i].ID, Title: es[i].Title, Output: out, Elapsed: time.Since(start), Accesses: si.obsAcc.accesses()}
 	}
 	FanOut(len(es), runOne)
 	return reports

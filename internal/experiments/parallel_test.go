@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +113,45 @@ func TestRunExperimentsByteIdentical(t *testing.T) {
 	seq, par := seqVsPar(t, run)
 	if seq != par {
 		t.Errorf("parallel suite differs from sequential\n--- sequential:\n%s\n--- parallel:\n%s", seq, par)
+	}
+}
+
+// TestReportAccessesPerExperiment pins Report.Accesses: each
+// experiment's count is its own (the vm_accesses line of its metrics
+// section), positive, and unchanged when experiments overlap under a
+// worker pool.
+func TestReportAccessesPerExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-cluster runs in -short mode")
+	}
+	var es []Experiment
+	for _, id := range []string{"table2", "figure4"} {
+		e, ok := Get(id)
+		if !ok {
+			t.Fatalf("unknown experiment %q", id)
+		}
+		es = append(es, e)
+	}
+	defer SetParallelism(1)
+	var want []uint64
+	for _, w := range []int{1, 2} {
+		SetParallelism(w)
+		for i, r := range RunExperiments(Tiny(), es) {
+			var line uint64
+			for _, l := range strings.Split(r.Output, "\n") {
+				if f := strings.Fields(l); len(f) == 2 && f[0] == "vm_accesses" {
+					line, _ = strconv.ParseUint(f[1], 10, 64)
+				}
+			}
+			if r.Accesses == 0 || r.Accesses != line {
+				t.Errorf("width %d: %s Accesses = %d, its vm_accesses line reads %d", w, r.ID, r.Accesses, line)
+			}
+			if w == 1 {
+				want = append(want, r.Accesses)
+			} else if r.Accesses != want[i] {
+				t.Errorf("%s: Accesses = %d at width 2, %d at width 1", r.ID, r.Accesses, want[i])
+			}
+		}
 	}
 }
 

@@ -115,7 +115,7 @@ func TestGoldenPolicyRuns(t *testing.T) {
 			p := NewNomad(testNomad())
 			p.Attach(eng, vm)
 			defer p.Detach()
-			return goldenRun(t, eng, vm, x, func() []any { return []any{p.Stats(), p.HintMarks, p.ShadowDemotions, p.Retries} })
+			return goldenRun(t, eng, vm, x, func() []any { return []any{p.Stats(), p.HintMarks, p.ShadowDemotions, p.Stats().Promoted} })
 		}, "{Rounds:77 PTEsVisited:606208 HotObserved:195920 Promoted:1092 Demoted:1157 FailedPromotions:1627} 3483 0 1092 classify=4546560 migrate=13813852 track=47316060 | | runtime=155029159 tlb={Lookups:408192 Hits:198635 Misses:209557 SingleFlushes:225324 FullFlushes:0 Evictions:0 Fills:209557}"},
 		{"nomad-bounded-reattach", func(t *testing.T) string {
 			// Nomad's shadow copies and scores both live in the page
@@ -136,7 +136,7 @@ func TestGoldenPolicyRuns(t *testing.T) {
 			for !x.Finished() && eng.Step() {
 			}
 			return goldenRun(t, eng, vm, x, func() []any {
-				return []any{first.Stats(), first.ShadowDemotions, p.Stats(), p.HintMarks, p.ShadowDemotions, p.Retries}
+				return []any{first.Stats(), first.ShadowDemotions, p.Stats(), p.HintMarks, p.ShadowDemotions, p.Stats().Promoted}
 			})
 		}, "{Rounds:150 PTEsVisited:637295 HotObserved:340992 Promoted:954 Demoted:1039 FailedPromotions:2664} 238 {Rounds:203 PTEsVisited:874701 HotObserved:496824 Promoted:1065 Demoted:1060 FailedPromotions:3653} 8189 376 1065 classify=11339884 migrate=33278721 track=164461005 | | runtime=707138186 tlb={Lookups:2008601 Hits:1140916 Misses:867685 SingleFlushes:931222 FullFlushes:0 Evictions:0 Fills:867685}"},
 		{"nomad-shadow", func(t *testing.T) string {
@@ -144,7 +144,7 @@ func TestGoldenPolicyRuns(t *testing.T) {
 			p := NewNomad(testNomad())
 			p.Attach(eng, vm)
 			defer p.Detach()
-			return goldenRun(t, eng, vm, x, func() []any { return []any{p.Stats(), p.HintMarks, p.ShadowDemotions, p.Retries} })
+			return goldenRun(t, eng, vm, x, func() []any { return []any{p.Stats(), p.HintMarks, p.ShadowDemotions, p.Stats().Promoted} })
 		}, "{Rounds:263 PTEsVisited:2234215 HotObserved:769496 Promoted:3611 Demoted:3704 FailedPromotions:852} 10536 2620 3611 classify=16756485 migrate=32275017 track=192555690 | | runtime=526875812 tlb={Lookups:1508601 Hits:700742 Misses:807859 SingleFlushes:890622 FullFlushes:0 Evictions:0 Fills:807859}"},
 		{"tpp-migrate-faults", func(t *testing.T) string {
 			// Failed migrations: TPP books the work a failed demotion
@@ -164,7 +164,7 @@ func TestGoldenPolicyRuns(t *testing.T) {
 			p.Attach(eng, vm)
 			defer p.Detach()
 			return goldenRun(t, eng, vm, x, func() []any {
-				return []any{p.Stats(), p.HintMarks, p.ShadowDemotions, p.Retries, vm.Stats().MigrateRollbacks}
+				return []any{p.Stats(), p.HintMarks, p.ShadowDemotions, p.Stats().Promoted, vm.Stats().MigrateRollbacks}
 			})
 		}, "{Rounds:261 PTEsVisited:2217013 HotObserved:769132 Promoted:2746 Demoted:2845 FailedPromotions:1333} 9514 1489 2746 640 classify=16627471 migrate=26673881 track=181556670 | | runtime=522850543 tlb={Lookups:1508601 Hits:702624 Misses:805977 SingleFlushes:883299 FullFlushes:0 Evictions:0 Fills:805977}"},
 		{"vtmm", func(t *testing.T) string {

@@ -48,8 +48,6 @@ type Nomad struct {
 
 	// ShadowDemotions counts demotions satisfied by a retained shadow.
 	ShadowDemotions uint64
-	// Retries counts transactional copies restarted by concurrent dirtying.
-	Retries uint64
 }
 
 // NewNomad returns a detached Nomad.
@@ -69,7 +67,6 @@ func (p *Nomad) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 // shadow until the page is dirtied.
 func (p *Nomad) retainShadow(gvpn uint64) sim.Duration {
 	cm := &p.vm.Machine.Cost
-	p.Retries++
 	*p.vm.Proc.GPT.Meta(gvpn) |= shadowBit
 	return nomadShadowFaultCount*cm.HintFaultCost +
 		sim.Duration(nomadDirtyRetryFrac*float64(mem.CopyCost(mem.SpecPMEM, mem.SpecLocalDRAM, mem.PageSize)))
