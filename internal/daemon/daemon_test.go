@@ -290,6 +290,26 @@ func TestCommandErrors(t *testing.T) {
 	}
 }
 
+// TestBareRunClockOverflow checks the clock-overflow guard on a bare run,
+// which steps by the configured quantum and so names no duration on its
+// command line: a near-max quantum errors once the clock has moved.
+func TestBareRunClockOverflow(t *testing.T) {
+	cfg := strings.Replace(sampleConfig, `"quantum": "5ms"`, `"quantum": "9223372036854774784ns"`, 1)
+	if cfg == sampleConfig {
+		t.Fatal("sample config has no quantum to replace")
+	}
+	out := runScript(t, cfg, "run 1ms\nrun\nquit\n")
+	if !strings.Contains(out, "advanced to t=1.000ms") {
+		t.Fatalf("run 1ms did not advance:\n%s", out)
+	}
+	if got := strings.Count(out, "error:"); got != 1 || !strings.Contains(out, "overflows the simulated clock") {
+		t.Fatalf("want one clock-overflow error line, got:\n%s", out)
+	}
+	if !strings.Contains(out, "bye.") {
+		t.Fatal("session did not survive to quit")
+	}
+}
+
 // TestIdleAgeHistogramAccounts checks the dump's accounting: per VM the
 // bucket counts sum to the mapped page count (every mapped page lands in
 // exactly one bucket, unseen pages in the oldest).

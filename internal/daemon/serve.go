@@ -58,7 +58,7 @@ func (d *Daemon) Execute(line string) (out string, quit bool, err error) {
 			return "", false, fmt.Errorf("daemon: usage: run [duration]")
 		}
 		if dur > math.MaxInt64-d.eng.Now() {
-			return "", false, fmt.Errorf("daemon: run %s from t=%v overflows the simulated clock", fields[1], d.eng.Now())
+			return "", false, fmt.Errorf("daemon: run %v from t=%v overflows the simulated clock", dur, d.eng.Now())
 		}
 		d.run(dur)
 		return fmt.Sprintf("advanced to t=%v\n", d.eng.Now()), false, nil
