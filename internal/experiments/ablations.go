@@ -32,17 +32,13 @@ func init() {
 }
 
 // ablate runs a 3-VM GUPS cluster under a modified Demeter config and
-// reports (avg runtime s, tracking CPU s, promoted pages).
+// returns its average runtime in seconds.
 func ablate(s Scale, mutate func(*core.Config)) (runtime float64) {
-	cfg := core.DefaultConfig()
-	cfg.EpochPeriod = s.EpochPeriod
-	cfg.SamplePeriod = s.SamplePeriod
-	cfg.Params.GranularityPages = s.Granularity
-	cfg.MigrationBatch = s.MigrationBatch
+	cfg := s.demeterConfig()
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return runDemeterWith(s, 3, cfg)
+	return s.RunCluster("demeter", 3, s.gups, clusterOptions{demeter: &cfg}).AvgRuntime()
 }
 
 // ablatePair runs the unmodified baseline and one variant as two

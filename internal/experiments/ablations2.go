@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"demeter/internal/stats"
-	"demeter/internal/workload"
 )
 
 func init() {
@@ -28,9 +27,7 @@ func init() {
 func AblationPML(s Scale) string {
 	designs := []string{"vtmm", "tpp-h", "demeter"}
 	results := runIndexed(len(designs), func(i int) ClusterResult {
-		return s.RunCluster(designs[i], 3, func(vmID int) workload.Workload {
-			return workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(vmID)+1))
-		}, clusterOptions{})
+		return s.RunCluster(designs[i], 3, s.gups, clusterOptions{})
 	})
 	tb := stats.NewTable("Ablation: write-tracking source (3 VMs, GUPS)",
 		"Design", "Avg runtime (s)", "Full flushes", "Host CPU (s)")
@@ -51,9 +48,7 @@ func AblationPML(s Scale) string {
 func AblationDAMON(s Scale) string {
 	designs := []string{"damon", "demeter"}
 	results := runIndexed(len(designs), func(i int) ClusterResult {
-		return s.RunCluster(designs[i], 3, func(vmID int) workload.Workload {
-			return workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(vmID)+1))
-		}, clusterOptions{})
+		return s.RunCluster(designs[i], 3, s.gups, clusterOptions{})
 	})
 	tb := stats.NewTable("Ablation: guest-side classification scheme (3 VMs, GUPS)",
 		"Design", "Avg runtime (s)", "Single flushes")
@@ -90,9 +85,7 @@ func AblationGranularity(s Scale) string {
 	results := runIndexed(len(grans), func(i int) ClusterResult {
 		sg := s
 		sg.Granularity = grans[i]
-		return sg.RunCluster("demeter", 3, func(vmID int) workload.Workload {
-			return workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(vmID)+1))
-		}, clusterOptions{})
+		return sg.RunCluster("demeter", 3, s.gups, clusterOptions{})
 	})
 	tb := stats.NewTable("Ablation: split granularity (3 VMs, GUPS)",
 		"Granularity (pages)", "Avg runtime (s)", "Migrate CPU (s)", "Classify CPU (s)")

@@ -166,12 +166,7 @@ func (s Scale) NewPolicy(design string) Policy {
 	case "static":
 		return tmm.NewStatic()
 	case "demeter":
-		cfg := core.DefaultConfig()
-		cfg.EpochPeriod = s.EpochPeriod
-		cfg.SamplePeriod = s.SamplePeriod
-		cfg.Params.GranularityPages = s.Granularity
-		cfg.MigrationBatch = s.MigrationBatch
-		return core.New(cfg)
+		return core.New(s.demeterConfig())
 	case "tpp":
 		cfg := tmm.DefaultTPPConfig()
 		cfg.ScanConfig = s.scanConfig()
@@ -207,6 +202,18 @@ func (s Scale) NewPolicy(design string) Policy {
 	}
 }
 
+// demeterConfig is Demeter's configuration at this scale: the paper's
+// defaults with the epoch, PEBS period, split granularity and migration
+// batch compressed.
+func (s Scale) demeterConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.EpochPeriod = s.EpochPeriod
+	cfg.SamplePeriod = s.SamplePeriod
+	cfg.Params.GranularityPages = s.Granularity
+	cfg.MigrationBatch = s.MigrationBatch
+	return cfg
+}
+
 // scanConfig is the cadence and batch bounds every A-bit scanning design
 // runs with at this scale.
 func (s Scale) scanConfig() tmm.ScanConfig {
@@ -236,6 +243,12 @@ func (s Scale) NewApp(app string, seed uint64) workload.Workload {
 	default:
 		panic(fmt.Sprintf("experiments: unknown app %q", app))
 	}
+}
+
+// gups builds VM vmID's own full GUPS instance (a ~14 GiB table in each
+// 16 GiB VM in the paper), the per-VM workload of every GUPS cluster.
+func (s Scale) gups(vmID int) workload.Workload {
+	return s.NewApp("gups", uint64(vmID)+1)
 }
 
 // Apps is the §5.3 workload list in the paper's presentation order.
@@ -300,10 +313,20 @@ type clusterOptions struct {
 	txnLatency  bool
 	hostFMEM    uint64 // override host FMEM pool (0 = per-VM sum)
 	hostSMEM    uint64
+	// provision, when set, establishes one VM's tier composition and
+	// calls done once it has settled. Guest nodes are then sized at the
+	// VM's full memory on both tiers, and every VM's provisioning
+	// settles before any workload starts (boot-time resizing).
+	provision func(eng *sim.Engine, vm *hypervisor.VM, s Scale, done func())
+	// demeter, when set, is the configuration of each VM's Demeter in
+	// place of demeterConfig (design must be "demeter").
+	demeter *core.Config
 }
 
 // RunCluster runs nVMs concurrent VMs, each with its own policy instance
 // of the given design and its own workload (built by mkWL per VM index).
+// It creates every VM (and settles opt.provision) before it builds any
+// executor or attaches any policy.
 func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.Workload, opt clusterOptions) ClusterResult {
 	eng := sim.NewEngine()
 	hostFMEM := opt.hostFMEM
@@ -319,14 +342,16 @@ func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.
 		m.Cost.ScanPTECost = s.ScanPTECost
 	}
 	o := obs.New(0)
-	m.AttachObs(o)
+	m.AttachObs(o) // before provisioning, so balloons' publish hooks register
 
-	res := ClusterResult{Design: design, GuestCPU: sim.NewLedger(), HostCPU: sim.NewLedger()}
-	var xs []*engine.Executor
-	var policies []Policy
+	pending := 0
 	for i := 0; i < nVMs; i++ {
 		guestFMEM, guestSMEM := s.VMFMEM, s.VMSMEM
-		if design == "tpp-h" {
+		switch {
+		case opt.provision != nil:
+			total := s.VMFMEM + s.VMSMEM
+			guestFMEM, guestSMEM = total, total
+		case design == "tpp-h":
 			// Hypervisor-managed guests are tier-unaware: one big node
 			// whose backing the host shuffles.
 			guestFMEM, guestSMEM = s.VMFMEM+s.VMSMEM, 1
@@ -338,13 +363,33 @@ func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.
 		if err != nil {
 			panic(err)
 		}
+		if opt.provision != nil {
+			pending++
+			opt.provision(eng, vm, s, func() { pending-- })
+		}
+	}
+	for pending > 0 {
+		if !eng.Step() {
+			panic("experiments: provisioning never settled")
+		}
+	}
+
+	res := ClusterResult{Design: design, GuestCPU: sim.NewLedger(), HostCPU: sim.NewLedger()}
+	var xs []*engine.Executor
+	var policies []Policy
+	for i, vm := range m.VMs {
 		x := engine.NewExecutor(eng, vm, mkWL(i))
 		x.PublishObs(o, fmt.Sprintf("%d", i))
 		if opt.txnLatency {
 			x.TxnHist = stats.NewHistogram()
 			o.Reg.AttachHistogram("txn_latency_ns", x.TxnHist, "vm", fmt.Sprintf("%d", i))
 		}
-		pol := s.NewPolicy(design)
+		var pol Policy
+		if opt.demeter != nil {
+			pol = core.New(*opt.demeter)
+		} else {
+			pol = s.NewPolicy(design)
+		}
 		pol.Attach(eng, vm)
 		policies = append(policies, pol)
 		xs = append(xs, x)

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"demeter/internal/hypervisor"
+	"demeter/internal/sim"
 	"demeter/internal/workload"
 )
 
@@ -143,9 +145,10 @@ func TestFigure4Shape(t *testing.T) {
 
 func TestFigure6Shape(t *testing.T) {
 	s := Tiny()
-	static := runProvisioned(s, provisionScheme{name: "static", design: "tpp", setup: staticSetup})
-	virtio := runProvisioned(s, provisionScheme{name: "virtio", design: "tpp", setup: virtioSetup, fullCapacityNodes: true})
-	demeterB := runProvisioned(s, provisionScheme{name: "demeter", design: "tpp", setup: demeterSetup, fullCapacityNodes: true})
+	run := func(provision func(*sim.Engine, *hypervisor.VM, Scale, func())) float64 {
+		return s.RunCluster("tpp", s.VMs, s.gups, clusterOptions{provision: provision}).Throughput()
+	}
+	static, virtio, demeterB := run(nil), run(virtioSetup), run(demeterSetup)
 	if virtio >= demeterB {
 		t.Errorf("virtio balloon (%.3g) should underperform demeter balloon (%.3g)", virtio, demeterB)
 	}

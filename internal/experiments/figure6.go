@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"demeter/internal/balloon"
-	"demeter/internal/engine"
 	"demeter/internal/hypervisor"
-	"demeter/internal/obs"
 	"demeter/internal/sim"
 	"demeter/internal/stats"
-	"demeter/internal/workload"
 )
 
 func init() {
@@ -24,14 +21,11 @@ func init() {
 type provisionScheme struct {
 	name   string
 	design string // guest TMM attached after provisioning
-	// setup provisions one VM and must call done() when settled.
+	// setup provisions one VM and must call done() when settled; nil is
+	// static allocation. The elastic setups get guest nodes sized at
+	// 100% of VM memory, with balloons carving the provision.
 	setup func(eng *sim.Engine, vm *hypervisor.VM, s Scale, done func())
-	// fullCapacityNodes: guest nodes sized at 100% of VM memory with
-	// balloons carving the provision (the elastic configurations).
-	fullCapacityNodes bool
 }
-
-func staticSetup(eng *sim.Engine, _ *hypervisor.VM, _ Scale, done func()) { eng.After(0, done) }
 
 func virtioSetup(eng *sim.Engine, vm *hypervisor.VM, s Scale, done func()) {
 	// The host wants the guest shrunk from 2×total capacity to the
@@ -53,14 +47,15 @@ func demeterSetup(eng *sim.Engine, vm *hypervisor.VM, s Scale, done func()) {
 // over VirtIO+TPP).
 func Figure6(s Scale) string {
 	schemes := []provisionScheme{
-		{name: "static+tpp", design: "tpp", setup: staticSetup},
-		{name: "virtio-balloon+tpp", design: "tpp", setup: virtioSetup, fullCapacityNodes: true},
-		{name: "demeter-balloon+tpp", design: "tpp", setup: demeterSetup, fullCapacityNodes: true},
-		{name: "demeter-balloon+demeter", design: "demeter", setup: demeterSetup, fullCapacityNodes: true},
+		{name: "static+tpp", design: "tpp"},
+		{name: "virtio-balloon+tpp", design: "tpp", setup: virtioSetup},
+		{name: "demeter-balloon+tpp", design: "tpp", setup: demeterSetup},
+		{name: "demeter-balloon+demeter", design: "demeter", setup: demeterSetup},
 	}
 
 	thpts := runIndexed(len(schemes), func(i int) float64 {
-		return runProvisioned(s, schemes[i])
+		sc := schemes[i]
+		return s.RunCluster(sc.design, s.VMs, s.gups, clusterOptions{provision: sc.setup}).Throughput()
 	})
 
 	tb := stats.NewTable("Figure 6: average GUPS throughput by provisioning technique (9 VMs)",
@@ -74,73 +69,4 @@ func Figure6(s Scale) string {
 	report += "\nPaper shape: Demeter balloon ≈ static; VirtIO balloon (+TPP) far\n" +
 		"behind (Demeter balloon +68%) because inflation drains FMEM first.\n"
 	return report
-}
-
-// runProvisioned builds the cluster, settles provisioning, then runs GUPS
-// and returns aggregate throughput.
-func runProvisioned(s Scale, scheme provisionScheme) float64 {
-	eng := sim.NewEngine()
-	n := s.VMs
-	m := hypervisor.NewMachine(eng, hostTopology("pmem", s.VMFMEM*uint64(n), s.VMSMEM*uint64(n)))
-	if s.ScanPTECost > 0 {
-		m.Cost.ScanPTECost = s.ScanPTECost
-	}
-	o := obs.New(0)
-	m.AttachObs(o) // before balloons attach, so their publish hooks register
-
-	var vms []*hypervisor.VM
-	pending := n
-	for i := 0; i < n; i++ {
-		guestFMEM, guestSMEM := s.VMFMEM, s.VMSMEM
-		if scheme.fullCapacityNodes {
-			total := s.VMFMEM + s.VMSMEM
-			guestFMEM, guestSMEM = total, total
-		}
-		vm, err := m.NewVM(hypervisor.VMConfig{
-			VCPUs: 4, GuestFMEM: guestFMEM, GuestSMEM: guestSMEM,
-			FMEMBacking: 0, SMEMBacking: 1,
-		})
-		if err != nil {
-			panic(err)
-		}
-		vms = append(vms, vm)
-		scheme.setup(eng, vm, s, func() { pending-- })
-	}
-	// Settle ballooning before workloads start (boot-time resizing).
-	for pending > 0 {
-		if !eng.Step() {
-			panic("experiments: provisioning never settled")
-		}
-	}
-
-	// Each VM runs its own full GUPS instance (16 GiB VM, ~14 GiB table
-	// in the paper).
-	fp := s.GUPSFootprint
-	ops := s.GUPSOps
-	var xs []*engine.Executor
-	var policies []Policy
-	for i, vm := range vms {
-		x := engine.NewExecutor(eng, vm, workload.Must(workload.NewGUPS(fp, ops, uint64(i)+1)))
-		pol := s.NewPolicy(scheme.design)
-		pol.Attach(eng, vm)
-		policies = append(policies, pol)
-		xs = append(xs, x)
-	}
-	if !engine.RunAll(eng, s.Horizon, xs...) {
-		panic(fmt.Sprintf("experiments: figure6 %s did not finish", scheme.name))
-	}
-	for _, p := range policies {
-		p.Detach()
-	}
-	var ops2 uint64
-	var wall sim.Time
-	for _, x := range xs {
-		ops2 += x.OpsDone()
-		if x.FinishedAt() > wall {
-			wall = x.FinishedAt()
-		}
-	}
-	auditMachine(m)
-	s.finishObs("figure6-"+scheme.name, o)
-	return float64(ops2) / wall.Seconds()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"demeter/internal/stats"
-	"demeter/internal/workload"
 )
 
 func init() {
@@ -27,9 +26,7 @@ func runGUPSNine(s Scale, design string, sampleEvery int64) ClusterResult {
 	if sampleEvery > 0 {
 		opt.sampleEvery = s.EpochPeriod
 	}
-	return s.RunCluster(design, s.VMs, func(vmID int) workload.Workload {
-		return workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(vmID)+1))
-	}, opt)
+	return s.RunCluster(design, s.VMs, s.gups, opt)
 }
 
 // Figure7 reproduces the overhead breakdown: per-design CPU seconds spent

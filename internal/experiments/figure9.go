@@ -4,12 +4,8 @@ import (
 	"fmt"
 
 	"demeter/internal/core"
-	"demeter/internal/engine"
-	"demeter/internal/hypervisor"
-	"demeter/internal/obs"
 	"demeter/internal/sim"
 	"demeter/internal/stats"
-	"demeter/internal/workload"
 )
 
 func init() {
@@ -20,61 +16,12 @@ func init() {
 	})
 }
 
-// runDemeterWith runs a small GUPS cluster under a custom Demeter config
-// and returns the average runtime in seconds.
-func runDemeterWith(s Scale, nVMs int, cfg core.Config) float64 {
-	eng := sim.NewEngine()
-	m := hypervisor.NewMachine(eng, hostTopology("pmem", s.VMFMEM*uint64(nVMs), s.VMSMEM*uint64(nVMs)))
-	if s.ScanPTECost > 0 {
-		m.Cost.ScanPTECost = s.ScanPTECost
-	}
-	o := obs.New(0)
-	m.AttachObs(o)
-	var xs []*engine.Executor
-	var ds []*core.Demeter
-	for i := 0; i < nVMs; i++ {
-		vm, err := m.NewVM(hypervisor.VMConfig{
-			VCPUs: 4, GuestFMEM: s.VMFMEM, GuestSMEM: s.VMSMEM,
-			FMEMBacking: 0, SMEMBacking: 1,
-		})
-		if err != nil {
-			panic(err)
-		}
-		x := engine.NewExecutor(eng, vm, workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(i)+1)))
-		d := core.New(cfg)
-		d.Attach(eng, vm)
-		ds = append(ds, d)
-		xs = append(xs, x)
-	}
-	if !engine.RunAll(eng, s.Horizon, xs...) {
-		panic("experiments: figure9 run did not finish")
-	}
-	for _, d := range ds {
-		d.Detach()
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x.Runtime().Seconds()
-	}
-	auditMachine(m)
-	s.finishObs("demeter-tuned", o)
-	return sum / float64(nVMs)
-}
-
 // Figure9 reproduces the sensitivity study (§5.2.3): four one-dimensional
 // sweeps around Demeter's defaults. Paper shape: a wide flat plateau,
 // with degradation only at extremes (very large sample periods, very high
 // latency thresholds, very long split periods or thresholds).
 func Figure9(s Scale) string {
 	nVMs := 3 // sensitivity uses a reduced cluster; ratios are per-VM
-	base := func() core.Config {
-		cfg := core.DefaultConfig()
-		cfg.EpochPeriod = s.EpochPeriod
-		cfg.SamplePeriod = s.SamplePeriod
-		cfg.Params.GranularityPages = s.Granularity
-		cfg.MigrationBatch = s.MigrationBatch
-		return cfg
-	}
 
 	out := "Figure 9: parameter sensitivity (average GUPS runtime, seconds)\n"
 	out += fmt.Sprintf("defaults at this scale: sample period %d, latency threshold 64ns,\n", s.SamplePeriod)
@@ -91,7 +38,7 @@ func Figure9(s Scale) string {
 
 	// Sweep 1: PEBS sample period (paper sweeps 64ns..16µs-scale periods).
 	for _, mul := range []float64{0.25, 0.5, 1, 2, 8, 32} {
-		cfg := base()
+		cfg := s.demeterConfig()
 		cfg.SamplePeriod = uint64(float64(s.SamplePeriod) * mul)
 		if cfg.SamplePeriod == 0 {
 			cfg.SamplePeriod = 1
@@ -101,25 +48,25 @@ func Figure9(s Scale) string {
 	// Sweep 2: load-latency threshold. Beyond the slow tier's latency no
 	// access qualifies and classification starves.
 	for _, thr := range []sim.Duration{30, 64, 128, 300, 950, 1200} {
-		cfg := base()
+		cfg := s.demeterConfig()
 		cfg.LatencyThreshold = thr
 		points = append(points, point{sweep: 1, label: int64(thr), cfg: cfg})
 	}
 	// Sweep 3: split period (t_split).
 	for _, mul := range []float64{0.2, 0.5, 1, 2, 5, 10} {
-		cfg := base()
+		cfg := s.demeterConfig()
 		cfg.EpochPeriod = sim.Duration(float64(s.EpochPeriod) * mul)
 		points = append(points, point{sweep: 2, label: cfg.EpochPeriod.String(), cfg: cfg})
 	}
 	// Sweep 4: split threshold (τ_split).
 	for _, tau := range []float64{1, 3, 7, 15, 17, 40} {
-		cfg := base()
+		cfg := s.demeterConfig()
 		cfg.Params.SplitThreshold = tau
 		points = append(points, point{sweep: 3, label: tau, cfg: cfg})
 	}
 
 	runtimes := runIndexed(len(points), func(i int) float64 {
-		return runDemeterWith(s, nVMs, points[i].cfg)
+		return s.RunCluster("demeter", nVMs, s.gups, clusterOptions{demeter: &points[i].cfg}).AvgRuntime()
 	})
 
 	titles := []struct{ title, col string }{

@@ -119,13 +119,15 @@ func TestRunExperimentsByteIdentical(t *testing.T) {
 // TestReportAccessesPerExperiment pins Report.Accesses: each
 // experiment's count is its own (the vm_accesses line of its metrics
 // section), positive, and unchanged when experiments overlap under a
-// worker pool.
+// worker pool. ablation-draining's clusters publish their executors'
+// obs like every other RunCluster run, so its engine_ops_done line (one
+// op per GUPS access) reads the same count.
 func TestReportAccessesPerExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cluster runs in -short mode")
 	}
 	var es []Experiment
-	for _, id := range []string{"table2", "figure4"} {
+	for _, id := range []string{"table2", "figure4", "ablation-draining"} {
 		e, ok := Get(id)
 		if !ok {
 			t.Fatalf("unknown experiment %q", id)
@@ -137,14 +139,17 @@ func TestReportAccessesPerExperiment(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		SetParallelism(w)
 		for i, r := range RunExperiments(Tiny(), es) {
-			var line uint64
+			lines := map[string]uint64{}
 			for _, l := range strings.Split(r.Output, "\n") {
-				if f := strings.Fields(l); len(f) == 2 && f[0] == "vm_accesses" {
-					line, _ = strconv.ParseUint(f[1], 10, 64)
+				if f := strings.Fields(l); len(f) == 2 {
+					lines[f[0]], _ = strconv.ParseUint(f[1], 10, 64)
 				}
 			}
-			if r.Accesses == 0 || r.Accesses != line {
-				t.Errorf("width %d: %s Accesses = %d, its vm_accesses line reads %d", w, r.ID, r.Accesses, line)
+			if r.Accesses == 0 || r.Accesses != lines["vm_accesses"] {
+				t.Errorf("width %d: %s Accesses = %d, its vm_accesses line reads %d", w, r.ID, r.Accesses, lines["vm_accesses"])
+			}
+			if r.ID == "ablation-draining" && lines["engine_ops_done"] != r.Accesses {
+				t.Errorf("width %d: %s engine_ops_done reads %d, Accesses = %d", w, r.ID, lines["engine_ops_done"], r.Accesses)
 			}
 			if w == 1 {
 				want = append(want, r.Accesses)

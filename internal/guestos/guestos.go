@@ -95,9 +95,6 @@ func (k *Kernel) NewProcess(name string) *Process {
 	return p
 }
 
-// Processes returns the kernel's process list.
-func (k *Kernel) Processes() []*Process { return k.procs }
-
 // AllocPage takes one frame, trying preferred first (pass -1 to use the
 // default local-first order), then falling back across nodes. The second
 // result is the node the frame came from.

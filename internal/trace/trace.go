@@ -165,6 +165,9 @@ func NewReplayer(name string, r io.Reader, total, initOps uint64) (*Replayer, er
 		if err != nil {
 			return nil, err
 		}
+		if kind != 'h' && kind != 'm' {
+			return nil, fmt.Errorf("trace: region %d has unknown kind %q", i, kind)
+		}
 		bytes, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err

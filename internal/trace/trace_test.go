@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"demeter/internal/core"
@@ -219,6 +220,8 @@ func TestCorruptInputs(t *testing.T) {
 		// wantHeaderErr: NewReplayer itself must fail. Otherwise the
 		// replayer must construct, then report the damage via Err().
 		wantHeaderErr bool
+		// wantErrPart, when set, must appear in the header error.
+		wantErrPart string
 	}{
 		{name: "empty", data: nil, wantHeaderErr: true},
 		{name: "short magic", data: []byte("DM"), wantHeaderErr: true},
@@ -229,6 +232,11 @@ func TestCorruptInputs(t *testing.T) {
 			return d
 		}(), wantHeaderErr: true},
 		{name: "truncated header", data: good.Bytes()[:7], wantHeaderErr: true},
+		{name: "unknown region kind", data: func() []byte {
+			d := append([]byte(nil), good.Bytes()...)
+			d[6] = 'x' // first region's kind follows magic, version and count
+			return d
+		}(), wantHeaderErr: true, wantErrPart: "'x'"},
 		{name: "truncated mid-stream", data: good.Bytes()[:good.Len()/2]},
 		{name: "truncated mid-varint", data: good.Bytes()[:good.Len()-1]},
 	}
@@ -238,6 +246,9 @@ func TestCorruptInputs(t *testing.T) {
 			if tc.wantHeaderErr {
 				if err == nil {
 					t.Fatal("NewReplayer accepted a corrupt header")
+				}
+				if !strings.Contains(err.Error(), tc.wantErrPart) {
+					t.Fatalf("error %q does not name %s", err, tc.wantErrPart)
 				}
 				return
 			}
